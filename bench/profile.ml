@@ -1,16 +1,23 @@
 (* Single-workload profiling driver for backend work: run one workload's
    naive kernel repeatedly on one backend, serially, so `perf` / OCaml's
    own profilers see a steady hot loop without the bench harness around
-   it. Usage: profile.exe <workload> <vector|compiled|ref> <reps> *)
+   it. Usage: profile.exe <workload> <vector|ref> <reps> *)
 module W = Gpcc_workloads.Workload
 
+let usage () =
+  prerr_endline
+    "usage: profile.exe <workload> <vector|vec|ref|reference> <reps>";
+  exit 2
+
 let () =
+  if Array.length Sys.argv <> 4 then usage ();
   let wname = Sys.argv.(1) in
   let backend =
-    match Sys.argv.(2) with
-    | "vector" -> Gpcc_sim.Launch.Vector
-    | "compiled" -> Gpcc_sim.Launch.Compiled
-    | _ -> Gpcc_sim.Launch.Reference
+    match Gpcc_sim.Launch.backend_of_string Sys.argv.(2) with
+    | Ok b -> b
+    | Error m ->
+        prerr_endline ("profile: " ^ m);
+        usage ()
   in
   let reps = int_of_string Sys.argv.(3) in
   let w = Gpcc_workloads.Registry.find_exn wname in

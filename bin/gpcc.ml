@@ -47,7 +47,7 @@ let file_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Gpcc_core.Pool.default_jobs ())
+    & opt int (Gpcc_util.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the design-space sweep (defaults to \
@@ -55,13 +55,9 @@ let jobs_arg =
 
 let backend_conv =
   let parse s =
-    match s with
-    | "vector" | "vec" | "compiled" | "compile" | "ref" | "reference" -> Ok s
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown backend %S (vector, compiled, or reference)"
-               s))
+    match Gpcc_sim.Launch.backend_of_string s with
+    | Ok _ -> Ok s
+    | Error m -> Error (`Msg m)
   in
   Arg.conv (parse, Format.pp_print_string)
 
@@ -71,17 +67,19 @@ let backend_arg =
     & opt (some backend_conv) None
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
-          "Simulator backend: $(b,vector) (default; executes a half-warp \
-           at a time over flat per-register planes), $(b,compiled) \
-           (per-thread OCaml closures), or $(b,reference) (tree-walking \
-           interpreter). Equivalent to setting \\$(b,GPCC_BACKEND); all \
-           backends are bit-identical.")
+          "Simulator backend: $(b,vector) or $(b,vec) (default; executes \
+           a half-warp at a time over flat per-register planes), or \
+           $(b,reference) or $(b,ref) (tree-walking interpreter). \
+           Equivalent to setting \\$(b,GPCC_BACKEND); both backends are \
+           bit-identical.")
 
 (** The simulator reads the backend from the environment at each run, so
-    the flag just seeds it for this process. *)
-let apply_backend = function
-  | Some b -> Unix.putenv "GPCC_BACKEND" b
-  | None -> ()
+    the flag just seeds it for this process. Resolving it once up front
+    turns a bad [GPCC_BACKEND] into one immediate error rather than a
+    failure per simulated candidate. *)
+let apply_backend b =
+  Option.iter (Unix.putenv "GPCC_BACKEND") b;
+  ignore (Gpcc_sim.Launch.backend_of_env ())
 
 let handle_errors f =
   try f () with
@@ -764,17 +762,14 @@ let () =
   let man =
     [
       `S Manpage.s_environment;
-      `P "$(b,GPCC_BACKEND) — simulator backend: $(b,vector) (default) \
-          executes a half-warp at a time over flat per-register planes; \
-          $(b,compiled) stages each kernel into per-thread OCaml closures \
-          once per launch; $(b,ref) selects the tree-walking reference \
-          interpreter. All three are bit-identical; kernels outside a \
-          backend's subset fall back per run (vector, then compiled, then \
-          reference). The $(b,--backend) flag on $(b,explore) and \
-          $(b,bench) sets this for one invocation.";
-      `P "$(b,GPCC_INTERP) — legacy spelling: $(b,ref) selects the \
-          reference interpreter, any other value the compiled backend; \
-          consulted only when $(b,GPCC_BACKEND) is unset.";
+      `P "$(b,GPCC_BACKEND) — simulator backend: $(b,vector) or \
+          $(b,vec) (default) executes a half-warp at a time over flat \
+          per-register planes; $(b,ref) or $(b,reference) selects the \
+          tree-walking reference interpreter. Both are bit-identical; \
+          kernels outside the vector backend's subset fall back to the \
+          reference per run. Any other value is an error. The \
+          $(b,--backend) flag on $(b,explore) and $(b,bench) sets this \
+          for one invocation.";
       `P "$(b,GPCC_JOBS) — worker domains for the design-space sweep and \
           parallel grid execution (default: recommended domain count).";
       `P "$(b,GPCC_CHECK) — enable the dynamic race checker (forces the \

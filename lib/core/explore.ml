@@ -28,6 +28,7 @@
 
 open Gpcc_ast
 module Cost_model = Gpcc_analysis.Cost_model
+module Pool = Gpcc_util.Pool
 
 type provenance =
   [ `Measured  (** fully measured (possibly served from the cache) *)

@@ -4,7 +4,7 @@
     on the GPU in the paper.
 
     The sweep is embarrassingly parallel, so candidates are fanned out
-    across a {!Pool} of worker domains, and measured scores can be
+    across a {!Gpcc_util.Pool} of worker domains, and measured scores can be
     persisted in an {!Explore_cache} so repeated searches skip
     already-measured points. The outcome is deterministic: for a fixed
     candidate grid the chosen best is byte-identical whatever [jobs] is
@@ -86,8 +86,9 @@ type funnel = {
 }
 
 (** Compile every configuration (in parallel on [jobs] domains, default
-    {!Pool.default_jobs}) and score it with [measure]. Candidates whose
-    kernels coincide are measured once and share the score. A candidate
+    {!Gpcc_util.Pool.default_jobs}) and score it with [measure].
+    Candidates whose kernels coincide are measured once and share the
+    score. A candidate
     that raises is isolated, never aborting the sweep: compile failures
     are dropped from the candidate list, measure failures score
     [Float.neg_infinity]; both are reported in the [failure] list.

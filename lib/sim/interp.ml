@@ -945,6 +945,16 @@ let make_bctx ?(record_tx = false) ?check (cfg : Config.t) (stats : Stats.t)
 
 let full_mask (c : bctx) = Array.init c.n (fun i -> i)
 
+(** Split the kernel body at top-level [__global_sync] barriers (both
+    backends agree on the same phase structure). *)
+let phases_of_body (body : Ast.block) : Ast.block list =
+  let rec go cur acc = function
+    | [] -> List.rev (List.rev cur :: acc)
+    | Ast.Global_sync :: rest -> go [] (List.rev cur :: acc) rest
+    | s :: rest -> go (s :: cur) acc rest
+  in
+  go [] [] body
+
 (** Execute one thread block over [body] (which may be a phase of the
     kernel when [__global_sync] is present). *)
 let run_block (c : bctx) (body : Ast.block) : unit =

@@ -24,20 +24,23 @@ type result = {
 val phases_of_body : Gpcc_ast.Ast.block -> Gpcc_ast.Ast.block list
 
 (** Simulator backend: the warp-vectorized backend ({!Vector}) is the
-    default; it and the closure-compiled backend ({!Compile}) are
-    bit-identical to the tree-walking reference interpreter. Kernels a
-    backend cannot compile fall back per run (vector -> compiled ->
-    reference). *)
+    default and is bit-identical to the tree-walking reference
+    interpreter ({!Interp}). Kernels the vector backend cannot compile
+    fall back to the reference per run. *)
 type backend =
   | Reference
-  | Compiled
   | Vector
 
 val backend_name : backend -> string
 
-(** Backend selected by [GPCC_BACKEND] ([vector]/[vec], [compiled], or
-    [ref]/[reference]); the older [GPCC_INTERP=ref] spelling still
-    forces the reference backend. Default is [Vector]. *)
+(** Parse a backend name: [vector]/[vec] or [ref]/[reference]. The
+    error message names the accepted spellings. *)
+val backend_of_string : string -> (backend, string) Stdlib.result
+
+(** Backend selected by [GPCC_BACKEND] (see {!backend_of_string});
+    default is [Vector].
+    @raise Invalid_argument naming the variable, the value and the
+    accepted spellings when [GPCC_BACKEND] is set to anything else. *)
 val backend_of_env : unit -> backend
 
 (** Cumulative wall-clock seconds spent inside {!run} since program

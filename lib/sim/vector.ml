@@ -1,20 +1,23 @@
 (** Warp-vectorized simulator backend on flat Bigarray storage.
 
-    The compiled backend ({!Compile}) stages the AST into closures but
-    still allocates a fresh per-lane array for every expression node on
-    every execution and walks lanes through [Array.iter] closures. This
-    backend keeps the staging but replaces the value representation with
-    a structure-of-arrays register file: one {e plane} (a contiguous
+    Once per (kernel, launch) pair the AST is staged into OCaml
+    closures: every scalar variable resolves to a fixed plane or uniform
+    register (sound because the type checker enforces strict lexical
+    scoping with no shadowing) and every node is specialized into a
+    closure over the per-block runtime record. Values live in a
+    structure-of-arrays register file: one {e plane} (a contiguous
     [n]-lane row of a flat {!Devmem.fmem} / [int array]) per live value,
     assigned at plan time by a free-list allocator, so steady-state
     execution allocates nothing and the hot loops are dense
     [for]-ranges over [Bigarray.Array1] storage.
 
-    Divergence is handled exactly like the other backends — masks are
+    Divergence is handled exactly like the reference — masks are
     arrays of active lane ids — but the overwhelmingly common full-block
     mask is detected per node ([Array.length m = n]) and runs the dense
-    unmasked loop. Expressions the analysis proves block-uniform use the
-    same scalar [U*] channel as {!Compile}.
+    unmasked loop. Expressions the analysis proves block-uniform —
+    literals, bound int parameters, block-level builtins, loop variables
+    with uniform bounds — evaluate once as scalars on a [U*] channel
+    fused into the per-lane loops.
 
     Memory accounting is the same half-warp math as
     {!Interp.account_global}, but full-mask accesses are digested a
@@ -27,11 +30,15 @@
     the cached digest after an O(1) congruence check — the closed-form
     loop credit — without walking any lane.
 
-    Bit-identity with the reference interpreter is preserved the same
-    way {!Compile} preserves it: identical float operations on identical
-    values in identical order, identical exact-integer statistic sums,
-    and the one inexact accumulator ([cost_bytes]) fed per half-warp in
-    ascending order with the same per-half-warp byte counts. *)
+    Bit-identity with the reference interpreter rests on identical float
+    operations on identical values in identical order, identical
+    exact-integer statistic sums (order-insensitive), and the one
+    inexact accumulator ([cost_bytes]) fed per half-warp in ascending
+    order with the same per-half-warp byte counts.
+
+    Kernels using unsupported or ill-typed shapes fail compilation with
+    {!Unsupported}; {!Launch} then falls back to the reference backend,
+    which reproduces the interpreter's runtime errors. *)
 
 open Gpcc_ast
 open Gpcc_analysis
@@ -786,11 +793,11 @@ let account_shared_const (rt : vrt) (m : int array) ~(addr : int) : unit =
 
 (* --- compiled expressions ---
 
-   [U*] closures are the uniform scalar channel, identical in shape to
-   {!Compile}. [X*] values name a destination plane plus a [fill] that
-   computes it over the active mask; a node's fill runs its operand
-   fills first (evaluation order is source order, as in the reference)
-   and then one dense or masked loop into its own plane. *)
+   [U*] closures are the uniform scalar channel: one value shared by
+   every active lane. [X*] values name a destination plane plus a
+   [fill] that computes it over the active mask; a node's fill runs its
+   operand fills first (evaluation order is source order, as in the
+   reference) and then one dense or masked loop into its own plane. *)
 
 type fill = vrt -> int array -> unit
 
@@ -821,8 +828,8 @@ let nofill : fill = fun _ _ -> ()
    before writing lane [l]. Compilation order equals evaluation order,
    so a released plane is only ever reused by code that runs after its
    last read. Declared variables and loop counters get permanent planes
-   (never released); scoping is strict (no shadowing), as in
-   {!Compile}. *)
+   (never released); scoping is strict (no shadowing), as the type
+   checker enforces. *)
 
 type plane = PF of int | PI of int
 
@@ -974,10 +981,11 @@ let beval (o : bopnd) rt m : bool =
 
 (* --- loop builders ---
 
-   Each builder mirrors one {!Compile} node shape, including the exact
-   order of [inst]/[flops]/operand evaluation around the loop — that
-   order is observable through the statistics. Dest planes may alias
-   operand planes: every loop reads lane [l] before writing lane [l]. *)
+   Each builder reproduces the reference interpreter's exact order of
+   [inst]/[flops]/operand evaluation around the loop for its node
+   shape — that order is observable through the statistics. Dest planes
+   may alias operand planes: every loop reads lane [l] before writing
+   lane [l]. *)
 
 let mk_fbin st ~(flops_first : bool) (fop : float -> float -> float) (ca : ve)
     (cb : ve) : ve =
@@ -3126,7 +3134,7 @@ let compile_uncached (k : Ast.kernel) (launch : Ast.launch) : code =
           let env', stm = comp_block_env st env phase in
           go env' (stm :: acc) rest
     in
-    Array.of_list (go env [] (Compile.phases_of_body k.k_body))
+    Array.of_list (go env [] (Interp.phases_of_body k.k_body))
   in
   let shared_lens =
     let a = Array.make (List.length st.shared_specs) 0 in

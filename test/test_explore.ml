@@ -15,8 +15,8 @@ let test_pool_map_order () =
   let xs = List.init 100 Fun.id in
   List.iter
     (fun jobs ->
-      let got = Gpcc_core.Pool.with_pool ~jobs (fun p ->
-          Gpcc_core.Pool.map p (fun x -> x * x) xs)
+      let got = Gpcc_util.Pool.with_pool ~jobs (fun p ->
+          Gpcc_util.Pool.map p (fun x -> x * x) xs)
       in
       Alcotest.(check (list int))
         (Printf.sprintf "squares in order (jobs=%d)" jobs)
@@ -29,7 +29,7 @@ let test_pool_failure_isolation () =
   let f x = if x mod 2 = 0 then failwith (string_of_int x) else x * 10 in
   List.iter
     (fun jobs ->
-      let results = Gpcc_core.Pool.run ~jobs f xs in
+      let results = Gpcc_util.Pool.run ~jobs f xs in
       let show = function
         | Ok y -> Printf.sprintf "ok:%d" y
         | Error e -> "err:" ^ Printexc.to_string e
@@ -41,7 +41,7 @@ let test_pool_failure_isolation () =
         (List.map show results);
       (* map re-raises the earliest failing element *)
       match
-        Gpcc_core.Pool.with_pool ~jobs (fun p -> Gpcc_core.Pool.map p f xs)
+        Gpcc_util.Pool.with_pool ~jobs (fun p -> Gpcc_util.Pool.map p f xs)
       with
       | _ -> Alcotest.fail "map should re-raise"
       | exception Failure m ->
@@ -51,18 +51,18 @@ let test_pool_failure_isolation () =
     [ 1; 4 ]
 
 let test_pool_reuse_and_shutdown () =
-  let p = Gpcc_core.Pool.create ~jobs:3 () in
-  Alcotest.(check int) "workers" 3 (Gpcc_core.Pool.size p);
-  let a = Gpcc_core.Pool.map p succ [ 1; 2; 3 ] in
-  let b = Gpcc_core.Pool.map p succ [ 4; 5 ] in
+  let p = Gpcc_util.Pool.create ~jobs:3 () in
+  Alcotest.(check int) "workers" 3 (Gpcc_util.Pool.size p);
+  let a = Gpcc_util.Pool.map p succ [ 1; 2; 3 ] in
+  let b = Gpcc_util.Pool.map p succ [ 4; 5 ] in
   Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] a;
   Alcotest.(check (list int)) "second batch" [ 5; 6 ] b;
-  Gpcc_core.Pool.shutdown p;
-  Gpcc_core.Pool.shutdown p;
+  Gpcc_util.Pool.shutdown p;
+  Gpcc_util.Pool.shutdown p;
   (* after shutdown the pool degrades to sequential, it does not hang *)
   Alcotest.(check (list int))
     "post-shutdown map" [ 7 ]
-    (Gpcc_core.Pool.map p succ [ 6 ])
+    (Gpcc_util.Pool.map p succ [ 6 ])
 
 (* --- jobs-invariance of the search --- *)
 
