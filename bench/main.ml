@@ -1069,9 +1069,10 @@ let emit_json ~name ~wall_s ~sim_s ~hits ~misses ~analysis_hits
          );
          ("wall_clock_s", Json_out.Float wall_s);
          ("sim_wall_clock_s", Json_out.Float sim_s);
-         (* verifier cost over this section: wall clock inside the
-            verify entry points, launches discharged symbolically vs
-            handed to the concrete verifier *)
+         (* verifier cost over this section: wall clock inside
+            Analysis_cache.verify, and the verdicts it computed (memory
+            and store hits excluded) from a symbolic proof vs. with the
+            concrete verifier *)
          ("verify_wall_clock_s", Json_out.Float verify_wall_s);
          ("symbolic_proofs", Json_out.Int sym_proofs);
          ("concrete_fallbacks", Json_out.Int concrete_fallbacks);

@@ -733,8 +733,7 @@ let cache_cmds =
         & info [ "kind" ] ~docv:"KIND"
             ~doc:
               "Only delete entries of this kind (e.g. $(b,score), \
-               $(b,verdict), $(b,pverdict), $(b,bundle)); default: \
-               everything.")
+               $(b,verdict), $(b,bundle)); default: everything.")
     in
     Cmd.v
       (Cmd.info "clear" ~doc:"Delete cached artifacts")

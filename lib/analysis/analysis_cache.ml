@@ -4,7 +4,7 @@
     the same intermediate kernels: the affine access table ({!Coalesce_check}),
     the coalescing verdict, the data-sharing summary ({!Sharing}), the
     register/shared-memory estimate ({!Regcount}) and the verifier's
-    diagnostics ({!Verify}). The design-space exploration makes this
+    error diagnostics ({!Verify}). The design-space exploration makes this
     quadratic — dozens of configurations whose pipelines revisit
     identical intermediate kernels. This cache memoizes all five,
     keyed by a digest of the printed kernel (plus the launch for
@@ -36,7 +36,7 @@ type kind =
   | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
   | Coalesce  (** the all-accesses-coalesced verdict *)
   | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-  | Verify  (** static verifier diagnostics: {!Verify.check} *)
+  | Verify  (** the verifier's error diagnostics: {!verify} *)
 
 let all_kinds = [ Affine; Sharing; Coalesce; Regcount; Verify ]
 
@@ -57,7 +57,7 @@ type t = {
   coalesce : bool slot;
   regcount : (int * int) slot;  (** (registers/thread, shared bytes/block) *)
   verify : Verify.diagnostic list slot;
-  symbolic : Symverify.result slot;  (** parametric verdicts, kernel-keyed *)
+  symbolic : Symverify.result slot;  (** parametric proofs, kernel-keyed *)
   capacity : int;  (** max entries per slot before LRU eviction *)
   mutable tick : int;
   mutable hits : int;
@@ -95,9 +95,9 @@ let global_miss_count = Atomic.make 0
 let global_hits () = Atomic.get global_hit_count
 let global_misses () = Atomic.get global_miss_count
 
-(* verification-cost counters for bench reporting: launches discharged
-   by a symbolic proof vs. handed to the concrete verifier, and total
-   wall-clock microseconds spent inside either verifier entry point *)
+(* verification-cost counters for bench reporting: verdicts computed
+   by a symbolic proof vs. by the concrete verifier, and total
+   wall-clock microseconds spent inside {!verify} *)
 let sym_proof_count = Atomic.make 0
 let concrete_fallback_count = Atomic.make 0
 let verify_wall_us = Atomic.make 0
@@ -168,18 +168,24 @@ let regcount (t : t) (k : Ast.kernel) : int * int =
   find t t.regcount (kernel_key k) (fun () ->
       (Regcount.estimate k, Regcount.shared_bytes k))
 
-(* --- persistent verifier-verdict store ------------------------------ *)
-(* Verification dominates warm design-space sweeps: measured scores are
-   served from the on-disk exploration cache, but every candidate was
-   still re-verified from scratch on every run. A verdict is a pure
-   function of the printed kernel (at the launch, for the concrete
-   verifier), so it persists across processes exactly like a score —
-   through {!Gpcc_util.Store}, as the ["verdict"] and ["pverdict"]
-   kinds. The store key is the full kernel text, so the store's key
-   guard doubles as the digest-collision guard; corruption recovery,
-   atomic writes, locking and eviction all live in the store. The
-   per-domain LRU above stays in front as the memory tier. Any store
-   failure degrades to recomputation. *)
+(* --- the verifier entry point -------------------------------------- *)
+(* Without persistence every candidate of a warm sweep would be
+   re-verified from scratch. A verdict is a
+   pure function of the printed kernel at the launch, so it persists
+   across processes exactly like a score — through {!Gpcc_util.Store},
+   as the ["verdict"] kind. The store key is the full kernel text, so
+   the store's key guard doubles as the digest-collision guard;
+   corruption recovery, atomic writes, locking and eviction all live in
+   the store. The per-domain LRU above stays in front as the memory
+   tier. Any store failure degrades to recomputation.
+
+   A verdict is computed by two tiers. The launch-parametric symbolic
+   proof ({!Symverify}, memoized per kernel text) is asked first: it
+   pays across the launches of one kernel text, and discharges large
+   blocks in milliseconds where lane enumeration takes a tenth of a
+   second. Whatever it cannot prove clean at this launch goes to the
+   concrete {!Verify.check}, whose error diagnostics are the verdict,
+   so messages never depend on which tier ran. *)
 
 module Store = Gpcc_util.Store
 
@@ -193,16 +199,11 @@ let marshal_decode (payload : string) : 'a option =
   | v -> Some v
   | exception _ -> None
 
-(* codec version 3: versions 1–2 were the hand-rolled pre-store
-   formats; bumping orphans them and the GC ages them out *)
+(* codec version 4: version 3 stored warnings too; versions 1–2 were
+   the hand-rolled pre-store formats. Bumping orphans them and the GC
+   ages them out *)
 let verdict_kind : Verify.diagnostic list Store.kind =
-  Store.make_kind ~name:"verdict" ~version:"3" ~encode:marshal_encode
-    ~decode:marshal_decode
-
-(* one entry per kernel, not per (kernel, launch): the parametric
-   result is launch-independent *)
-let pverdict_kind : Symverify.result Store.kind =
-  Store.make_kind ~name:"pverdict" ~version:"2" ~encode:marshal_encode
+  Store.make_kind ~name:"verdict" ~version:"4" ~encode:marshal_encode
     ~decode:marshal_decode
 
 (* one process-wide handle on the default root, shared by every domain
@@ -219,44 +220,20 @@ let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
       match Store.find store verdict_kind ~key:full with
       | Some ds -> ds
       | None ->
-          let ds = Verify.check ~launch k in
+          let sym =
+            find t t.symbolic (kernel_key k) (fun () -> Symverify.check k)
+          in
+          let ds =
+            match Symverify.decide sym launch with
+            | `Clean ->
+                Atomic.incr sym_proof_count;
+                []
+            | `Errors _ | `Unknown _ ->
+                Atomic.incr concrete_fallback_count;
+                Verify.errors (Verify.check ~launch k)
+          in
           Store.store store verdict_kind ~key:full ds;
           ds)
-
-let symbolic_result (t : t) (k : Ast.kernel) : Symverify.result =
-  let full = Pp.kernel_to_string k in
-  find t t.symbolic (Digest.string full) (fun () ->
-      let store = Lazy.force store_handle in
-      match Store.find store pverdict_kind ~key:full with
-      | Some r -> r
-      | None ->
-          let r = Symverify.check k in
-          Store.store store pverdict_kind ~key:full r;
-          r)
-
-(* escape hatch for A/B measurement and debugging: GPCC_SYMVERIFY=0
-   forces every launch down the concrete path *)
-let symverify_enabled =
-  lazy (Sys.getenv_opt "GPCC_SYMVERIFY" <> Some "0")
-
-let verify_sym (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
-    Verify.diagnostic list =
-  if not (Lazy.force symverify_enabled) then begin
-    Atomic.incr concrete_fallback_count;
-    verify t ~launch k
-  end
-  else
-    let r = timed (fun () -> symbolic_result t k) in
-  match Symverify.decide r launch with
-  | `Clean ->
-      Atomic.incr sym_proof_count;
-      []
-  | `Errors _ | `Unknown _ ->
-      (* certain violations fall back too: the concrete verifier
-         reproduces them with its own paths/messages, keeping the
-         diagnostics byte-identical to a non-symbolic run *)
-      Atomic.incr concrete_fallback_count;
-      verify t ~launch k
 
 (* Copy one slot's cached value from the old key to the new key (no
    hit/miss accounting: this is bookkeeping, not a lookup). *)

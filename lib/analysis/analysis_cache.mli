@@ -2,8 +2,8 @@
 
     Memoizes the five analyses the compiler keeps re-deriving — the
     affine access table, the coalescing verdict, inter-block data
-    sharing, register/shared-memory estimation, and the static
-    verifier — keyed by a digest of the printed kernel (plus the launch
+    sharing, register/shared-memory estimation, and the verifier's
+    verdict — keyed by a digest of the printed kernel (plus the launch
     configuration for launch-dependent analyses). Changing the kernel
     text changes the key, so results can never go stale; passes that
     declare an analysis {e preserved} carry its result forward to the
@@ -19,7 +19,7 @@ type kind =
   | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
   | Coalesce  (** the all-accesses-coalesced verdict *)
   | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-  | Verify  (** static verifier diagnostics: {!Verify.check} *)
+  | Verify  (** the verifier's error diagnostics: {!verify} *)
 
 val all_kinds : kind list
 val kind_name : kind -> string
@@ -44,16 +44,18 @@ val global_hits : unit -> int
 val global_misses : unit -> int
 
 val global_symbolic_proofs : unit -> int
-(** Launches discharged by a symbolic [Proved]/[Proved_when] verdict
-    (no concrete verification ran), across every domain. *)
+(** Verdicts {!verify} computed from a symbolic proof that covers the
+    launch (no concrete check ran), across every domain. Verdicts served
+    from memory or the store are not counted. *)
 
 val global_concrete_fallbacks : unit -> int
-(** Launches the symbolic tier could not discharge, handed to the
-    concrete {!Verify.check} path, across every domain. *)
+(** Verdicts {!verify} computed with the concrete {!Verify.check}
+    because the symbolic tier did not prove the launch clean, across
+    every domain. *)
 
 val global_verify_wall_clock_s : unit -> float
-(** Total wall-clock seconds spent inside {!verify} and {!verify_sym},
-    across every domain. *)
+(** Total wall-clock seconds spent inside {!verify}, across every
+    domain. *)
 
 val key : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> string
 (** Digest of the printed kernel at the launch — the cache key of the
@@ -81,21 +83,12 @@ val regcount : t -> Gpcc_ast.Ast.kernel -> int * int
 val verify :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list
-(** Verifier diagnostics ([Verify] slot). *)
-
-val symbolic_result : t -> Gpcc_ast.Ast.kernel -> Symverify.result
-(** The launch-parametric symbolic verdict for a kernel — one
-    digest-keyed entry per kernel text, persisted on disk as a
-    [.pverdict] entry next to the concrete [.verdict] files. *)
-
-val verify_sym :
-  t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
-  Verify.diagnostic list
-(** Symbolic-first verification: returns [[]] when the parametric
-    verdict proves this launch clean, and otherwise falls back to
-    {!verify} (identical diagnostics to a non-symbolic run). The
-    symbolic tier is sound but incomplete, so the fallback keeps
-    precision intact. *)
+(** The error diagnostics of [Verify.check ~launch k] ([Verify] slot) —
+    the compiler's one verifier entry point. The memoized
+    launch-parametric {!Symverify} proof of the kernel text is asked
+    first; when it does not prove this launch clean the concrete
+    checker runs, so the messages are always the concrete verifier's.
+    The verdict persists in the artifact store as a [verdict] entry. *)
 
 val preserve :
   t ->

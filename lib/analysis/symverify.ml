@@ -21,8 +21,8 @@
 
     Separately, [violations] lists configurations that {e certainly}
     fail (e.g. a modular lane store [s\[lane %% 64\]] races whenever
-    [bx*by >= 65]); the design-space exploration prunes those without
-    compiling them.
+    [bx*by >= 65]); {!decide} reports them as [`Errors] at the
+    launches they cover.
 
     The soundness contract is directional: whenever {!decide} returns
     [`Clean] for a launch, {!Verify.check} reports no error-severity
@@ -118,17 +118,6 @@ module Constraint = struct
   let to_string = function
     | [] -> "true"
     | c -> String.concat " && " (List.map atom_to_string c)
-
-  (** An atom over the block-thread product [bx*by] alone, decidable
-      from the thread count without knowing the block shape. *)
-  let threads_atom (a : atom) : bool = a.a_mono = [ Bx; By ]
-
-  let holds_at_threads ~(threads : int) (c : t) : bool =
-    List.for_all
-      (fun a ->
-        threads_atom a
-        && match a.a_cmp with `Le -> threads <= a.a_k | `Ge -> threads >= a.a_k)
-      c
 end
 
 (* ------------------------------------------------------------------ *)
@@ -264,8 +253,10 @@ let lp_le_when (p : lpoly) (q : lpoly) : Constraint.t option =
 (** How many launches over a reference grid of power-of-two
     configurations ([block_x*block_y <= 512], grid dims up to 64)
     satisfy [c] — used to pick, among independently sufficient
-    alternatives, the one that stays provable at the most launches. *)
-let coverage_tbl : (Constraint.t, int) Hashtbl.t = Hashtbl.create 64
+    alternatives, the one that stays provable at the most launches.
+    Memoized per domain: explore's worker domains all reach {!check}. *)
+let coverage_tbl : (Constraint.t, int) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let coverage_count (c : Constraint.t) : int =
   let bpows = [ 1; 2; 4; 8; 16; 32; 64; 128; 256; 512 ] in
@@ -292,11 +283,12 @@ let coverage_count (c : Constraint.t) : int =
     0 bpows
 
 let coverage (c : Constraint.t) : int =
-  match Hashtbl.find_opt coverage_tbl c with
+  let tbl = Domain.DLS.get coverage_tbl in
+  match Hashtbl.find_opt tbl c with
   | Some n -> n
   | None ->
       let n = coverage_count c in
-      if Hashtbl.length coverage_tbl < 4096 then Hashtbl.add coverage_tbl c n;
+      if Hashtbl.length tbl < 4096 then Hashtbl.add tbl c n;
       n
 
 (* ------------------------------------------------------------------ *)
@@ -1872,15 +1864,6 @@ let decide (r : result) (launch : Ast.launch) :
           (Printf.sprintf "launch outside the proved region (%s)"
              (Constraint.to_string c))
     | Unknown m -> `Unknown m
-
-(** A violation decidable from the block-thread product alone, e.g. for
-    pruning explore candidates before any compilation. *)
-let excludes_threads (r : result) ~(threads : int) : string option =
-  List.find_map
-    (fun v ->
-      if Constraint.holds_at_threads ~threads v.v_when then Some v.v_rule
-      else None)
-    r.violations
 
 let verdict_to_string = function
   | Proved -> "proved"

@@ -15,9 +15,8 @@
     tier cannot prove degrades to [`Unknown], and callers fall back to
     the concrete verifier — precision can regress, soundness cannot.
     Certain violations (guard-free races, divergent barriers) are
-    additionally reported as {!type:violation}s so explore-style
-    callers can exclude entire launch families without compiling
-    them. *)
+    additionally reported as {!type:violation}s, so {!decide} can name
+    the rule that provably fires at a launch. *)
 
 (** Conjunctions of linear inequalities over the launch dimensions. *)
 module Constraint : sig
@@ -38,11 +37,6 @@ module Constraint : sig
   val normalize : t -> t
 
   val conj : t -> t -> t
-
-  (** [holds_at_threads ~threads c] decides [c] when every atom is
-      over the [bx*by] monomial, substituting [threads]; [false] when
-      any atom mentions another monomial. *)
-  val holds_at_threads : threads:int -> t -> bool
 
   val to_string : t -> string
 end
@@ -77,11 +71,5 @@ val decide :
   result ->
   Gpcc_ast.Ast.launch ->
   [ `Clean | `Errors of Verify.diagnostic list | `Unknown of string ]
-
-(** [excludes_threads r ~threads] returns the rule id of a violation
-    that provably fires at every launch with [block_x * block_y =
-    threads], if any — usable to prune explore candidates before
-    compilation. *)
-val excludes_threads : result -> threads:int -> string option
 
 val verdict_to_string : verdict -> string

@@ -102,36 +102,6 @@ let cached_score cache key compute : float * bool =
 
 let compile_all pool ~cfg configs naive :
     compiled list * failure list =
-  (* symbolic pre-filter: one launch-parametric proof covers the whole
-     grid, and a violation that provably fires at every launch with a
-     config's block-thread product excludes that config before any
-     compilation (the pipeline's verifier would reject it anyway) *)
-  let sym =
-    Gpcc_analysis.Analysis_cache.symbolic_result
-      (Gpcc_analysis.Analysis_cache.domain ())
-      naive
-  in
-  let configs, excluded =
-    List.partition_map
-      (fun (target, degree) ->
-        match
-          Gpcc_analysis.Symverify.excludes_threads sym ~threads:target
-        with
-        | None -> Left (target, degree)
-        | Some rule ->
-            Right
-              {
-                failed_target = target;
-                failed_degree = degree;
-                failed_stage = `Verify;
-                reason =
-                  Printf.sprintf
-                    "symbolic verifier: %s fires at every launch with %d \
-                     threads/block"
-                    rule target;
-              })
-      configs
-  in
   let compile (target, degree) =
     let pipeline =
       Pipeline.default ~cfg ~target_block_threads:target ~merge_degree:degree
@@ -166,7 +136,7 @@ let compile_all pool ~cfg configs naive :
               :: fs ))
       ([], []) outcomes
   in
-  (List.rev compiled, excluded @ List.rev failures)
+  (List.rev compiled, List.rev failures)
 
 let configs_of block_targets merge_degrees =
   List.concat_map

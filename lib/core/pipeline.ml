@@ -137,7 +137,6 @@ type step = {
   remark : Remark.t;  (** structured remark (reason, metrics, timing) *)
   kernel_after : Ast.kernel;
   launch_after : Ast.launch;
-  diagnostics : Gpcc_analysis.Verify.diagnostic list;
 }
 
 type result = {
@@ -147,9 +146,6 @@ type result = {
 }
 
 exception Compile_error of string
-
-let diagnostics (r : result) : Gpcc_analysis.Verify.diagnostic list =
-  List.concat_map (fun s -> s.diagnostics) r.steps
 
 let notes (s : step) : string list = s.remark.Remark.notes
 
@@ -196,19 +192,12 @@ let reset_pass_timings () =
 (* The driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Validate a kernel; errors blame [name]. Returns the full diagnostic
-    list (warnings included) for the step record. Verification is
-    symbolic-first: one launch-parametric proof per kernel text covers
-    every launch it is consulted at, and anything unproven falls back
-    to the concrete verifier. Results are memoized in the per-domain
-    analysis cache. *)
+(** Validate a kernel; errors blame [name]. Verdicts are memoized in
+    the per-domain analysis cache and the artifact store. *)
 let validate ~(verify : bool) (cache : Cache.t) (name : string)
-    (k : Ast.kernel) (launch : Ast.launch) :
-    Gpcc_analysis.Verify.diagnostic list =
-  if not verify then []
-  else begin
-    let ds = Cache.verify_sym cache ~launch k in
-    (match Gpcc_analysis.Verify.errors ds with
+    (k : Ast.kernel) (launch : Ast.launch) : unit =
+  if verify then
+    match Cache.verify cache ~launch k with
     | [] -> ()
     | errs ->
         raise
@@ -216,9 +205,7 @@ let validate ~(verify : bool) (cache : Cache.t) (name : string)
              (Printf.sprintf "%s failed after pass %S: %s" validation_prefix
                 name
                 (String.concat "; "
-                   (List.map Gpcc_analysis.Verify.to_string errs)))));
-    ds
-  end
+                   (List.map Gpcc_analysis.Verify.to_string errs))))
 
 let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
   Typecheck.check naive;
@@ -232,7 +219,7 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
               #pragma gpcc dim __threads_x/__threads_y")
   in
   let cache = Cache.domain () in
-  ignore (validate ~verify:pipeline.verify cache "input" naive launch);
+  validate ~verify:pipeline.verify cache "input" naive launch;
   let ctx =
     {
       Pass.cfg = pipeline.cfg;
@@ -243,7 +230,7 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
   in
   let steps = ref [] in
   let record (p : Pass.t) label ~fired ~reason ~notes ~before_m ~after_m
-      ~duration_ms ~kernel ~launch ~diagnostics =
+      ~duration_ms ~kernel ~launch =
     steps :=
       {
         step_name = label;
@@ -263,7 +250,6 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
           };
         kernel_after = kernel;
         launch_after = launch;
-        diagnostics;
       }
       :: !steps
   in
@@ -280,14 +266,11 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
           let o : Pass_util.outcome = f k0 l0 in
           let duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
           note_timing p.Pass.name duration_ms;
-          let diagnostics =
-            if o.fired then
-              validate ~verify:pipeline.verify cache label o.kernel o.launch
-            else []
-          in
-          if o.fired then
+          if o.fired then begin
+            validate ~verify:pipeline.verify cache label o.kernel o.launch;
             Cache.preserve cache ~kinds:(Pass.preserved p) ~from_:(k0, l0)
-              ~to_:(o.kernel, o.launch);
+              ~to_:(o.kernel, o.launch)
+          end;
           let after_m =
             if o.fired then Remark.metrics cache o.kernel o.launch
             else before_m
@@ -298,8 +281,7 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
             | [] -> if o.fired then "applied" else "nothing to do"
           in
           record p label ~fired:o.fired ~reason ~notes:o.notes ~before_m
-            ~after_m ~duration_ms ~kernel:o.kernel ~launch:o.launch
-            ~diagnostics;
+            ~after_m ~duration_ms ~kernel:o.kernel ~launch:o.launch;
           o
         in
         match p.Pass.applies ctx !k !l with
@@ -307,7 +289,6 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
             let m = Remark.metrics cache !k !l in
             record p p.Pass.label ~fired:false ~reason ~notes:[ reason ]
               ~before_m:m ~after_m:m ~duration_ms:0.0 ~kernel:!k ~launch:!l
-              ~diagnostics:[]
         | Pass.Applies ->
             let k', l' = p.Pass.transform ctx emit !k !l in
             k := k';
@@ -365,9 +346,8 @@ let staged ?(cfg = Gpcc_sim.Config.gtx280) ?(target_block_threads = 256)
     let k3, l3 = s3 in
     let o = Prefetch.apply ~cfg k3 l3 in
     if o.fired then
-      ignore
-        (validate ~verify:pipeline.verify (Cache.domain ()) "data prefetching"
-           o.kernel o.launch);
+      validate ~verify:pipeline.verify (Cache.domain ()) "data prefetching"
+        o.kernel o.launch;
     (o.kernel, o.launch)
   in
   let s5 = (r.kernel, r.launch) in

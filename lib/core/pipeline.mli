@@ -54,7 +54,6 @@ type step = {
   remark : Remark.t;  (** structured remark (reason, metrics, timing) *)
   kernel_after : Ast.kernel;
   launch_after : Ast.launch;
-  diagnostics : Gpcc_analysis.Verify.diagnostic list;
 }
 
 type result = {
@@ -70,9 +69,6 @@ val validation_prefix : string
 val verifier_rejected : exn -> bool
 (** Whether an exception is a {!Compile_error} raised by translation
     validation (as opposed to a front-end or internal error). *)
-
-val diagnostics : result -> Gpcc_analysis.Verify.diagnostic list
-(** All verifier diagnostics accumulated across the steps. *)
 
 val notes : step -> string list
 (** The step's human-readable notes (from its remark). *)

@@ -10,6 +10,9 @@
     - a property test that every registered pass declares its analysis
       invalidations soundly;
     - bounded LRU eviction of the analysis cache (hot entries survive);
+    - the verifier entry point: [Analysis_cache.verify] answers the
+      concrete checker's errors, computed cold and served from the
+      store, and recovers from corrupt store entries;
     - structured remarks carry the required fields. *)
 
 open Util
@@ -148,7 +151,7 @@ let test_invalidation_declarations_sound () =
                       Gpcc_analysis.Regcount.shared_bytes k )
               | Cache.Verify ->
                   Cache.verify cache ~launch:l k
-                  = Gpcc_analysis.Verify.check ~launch:l k
+                  = Gpcc_analysis.Verify.(errors (check ~launch:l k))
             in
             if not ok then
               Alcotest.failf
@@ -216,7 +219,7 @@ let test_verify_disk_round_trip () =
   let w = Registry.find_exn "mv" in
   let k = Workload.parse w w.test_size in
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
-  let fresh = Gpcc_analysis.Verify.check ~launch k in
+  let fresh = Gpcc_analysis.Verify.(errors (check ~launch k)) in
   (* first fresh instance computes (or reads) and persists the verdict;
      the second starts with an empty memory slot, so it must serve the
      marshalled file — the round trip has to be structurally lossless *)
@@ -231,7 +234,10 @@ let test_verify_disk_corruption () =
   let w = Registry.find_exn "vv" in
   let k = Workload.parse w w.test_size in
   let launch = Option.get (Gpcc_passes.Pass_util.naive_launch k) in
-  let fresh = Gpcc_analysis.Verify.check ~launch k in
+  let fresh = Gpcc_analysis.Verify.(errors (check ~launch k)) in
+  (* start from no verdict entries: the store may still hold one for
+     this kernel text under an older codec version *)
+  Gpcc_util.Store.clear ~kind:"verdict" (Gpcc_util.Store.open_root ());
   let d1 = Cache.verify (Cache.create ()) ~launch k in
   Alcotest.(check bool) "baseline verdict" true (d1 = fresh);
   (* verdicts now live in the sharded artifact store; locate this
@@ -258,8 +264,6 @@ let test_verify_disk_corruption () =
            let d = Filename.concat root shard in
            if Sys.is_directory d then
              Sys.readdir d |> Array.to_list
-                (* note: [check_suffix ".verdict"] would also match
-                   the parametric ".pverdict" entries *)
              |> List.filter (fun f -> Filename.extension f = ".verdict")
              |> List.map (Filename.concat d)
            else [])
@@ -298,6 +302,59 @@ let test_verify_disk_corruption () =
   recovered "old format version";
   overwrite "gpcc-verify-v2\nthis is not marshalled data";
   recovered "garbage payload"
+
+(* --- the one verifier entry point equals the concrete verdict --- *)
+
+(* [Cache.verify] asks the symbolic tier first, but must answer exactly
+   the concrete checker's errors: on every registry naive kernel, on
+   every fired step kernel at a spread of configurations (compiled
+   with validation off, so rejected steps are checked too), and on a
+   racy kernel. Once computed on fresh instances, and once more served
+   from the artifact store. *)
+let test_verify_matches_concrete () =
+  let naive k = (k, Option.get (Gpcc_passes.Pass_util.naive_launch k)) in
+  let steps k (target, degree) =
+    let pipeline =
+      Pipeline.default ~cfg:cfg280 ~target_block_threads:target
+        ~merge_degree:degree ~verify:false ()
+    in
+    (Pipeline.run ~pipeline k).steps
+    |> List.filter (fun (s : Pipeline.step) -> s.fired)
+    |> List.map (fun (s : Pipeline.step) -> (s.kernel_after, s.launch_after))
+  in
+  let cases =
+    naive (parse_kernel Test_verify.racy_src)
+    :: List.concat_map
+         (fun (w : Workload.t) ->
+           let k = Workload.parse w w.test_size in
+           naive k
+           :: List.concat_map (steps k) [ (128, 4); (256, 16); (512, 8) ])
+         Registry.all
+  in
+  let oracle =
+    List.map
+      (fun (k, l) -> Gpcc_analysis.Verify.(errors (check ~launch:l k)))
+      cases
+  in
+  Alcotest.(check bool)
+    "some case has errors" true
+    (List.exists (fun ds -> ds <> []) oracle);
+  let pass what =
+    List.iter2
+      (fun (k, l) expect ->
+        if Cache.verify (Cache.create ()) ~launch:l k <> expect then
+          Alcotest.failf "%s: Cache.verify differs from Verify.check on %s"
+            what
+            (Gpcc_ast.Pp.kernel_to_string ~launch:l k))
+      cases oracle
+  in
+  Gpcc_util.Store.clear ~kind:"verdict" (Gpcc_util.Store.open_root ());
+  pass "cold";
+  let hits0 = Gpcc_util.Store.global_hits () in
+  pass "from the store";
+  Alcotest.(check bool)
+    "every second-pass verdict is a store hit" true
+    (Gpcc_util.Store.global_hits () - hits0 >= List.length cases)
 
 (* --- remarks: structure and JSON emission --- *)
 
@@ -374,6 +431,8 @@ let suite =
         test_verify_disk_round_trip;
       Alcotest.test_case "verifier verdicts: corrupt files recovered" `Quick
         test_verify_disk_corruption;
+      Alcotest.test_case "Cache.verify == concrete, cold + store" `Slow
+        test_verify_matches_concrete;
       Alcotest.test_case "remarks: structure and JSON" `Quick
         test_remarks_structure;
       Alcotest.test_case "pipeline surgery: disable / with_passes / describe"

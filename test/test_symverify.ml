@@ -1,16 +1,15 @@
 (** Tests for the two-symbolic-thread verifier: differential agreement
     with the concrete {!Gpcc_analysis.Verify} tier over the registry
     kernels and a sampled launch grid, exact rule ids on negative
-    kernels, a seeded property test over randomized affine kernels, the
-    [Proved_when] constraint pruning Explore candidates, the parametric
-    verdict's on-disk round trip, and the [verify-incomplete] warning
-    when the concrete race check truncates its lane enumeration. *)
+    kernels, a seeded property test over randomized affine kernels,
+    explore over a [Proved_when] kernel, concurrent checks on several
+    domains, and the [verify-incomplete] warning when the concrete race
+    check truncates its lane enumeration. *)
 
 open Gpcc_ast
 open Util
 module V = Gpcc_analysis.Verify
 module SV = Gpcc_analysis.Symverify
-module Cache = Gpcc_analysis.Analysis_cache
 module Registry = Gpcc_workloads.Registry
 module Workload = Gpcc_workloads.Workload
 
@@ -202,7 +201,7 @@ __kernel void k%d(float a[64], float c[64], int n) {
       [ (1, 16); (1, 64); (2, 32); (4, 16); (1, 512); (2, 64) ]
   done
 
-(* --- Proved_when violations prune Explore's candidate set --- *)
+(* --- explore compiles a Proved_when kernel at every target --- *)
 
 let modwrap_src =
   (* each lane owns slot [lane mod 64]: clean up to 64 threads/block,
@@ -216,106 +215,69 @@ __kernel void modk(float a[64][64], float c[64][64], int n) {
   c[idy][idx] = s[(tidx + bdimx * tidy) % 64];
 }|}
 
-let test_proved_when_excludes_configs () =
+let test_proved_when_configs_compile () =
   let k = parse_kernel modwrap_src in
-  let res = SV.check k in
-  (match SV.excludes_threads res ~threads:64 with
-  | None -> ()
-  | Some rule ->
-      Alcotest.failf "64-thread blocks wrongly excluded under %s" rule);
-  (match SV.excludes_threads res ~threads:256 with
-  | Some rule ->
-      Alcotest.(check string) "exclusion rule" V.rule_race_shared rule
-  | None -> Alcotest.fail "256-thread blocks must be excluded");
   let cands, failures =
     Gpcc_core.Explore.search_with_failures ~cfg:Util.cfg280
       ~block_targets:[ 64; 256 ] ~merge_degrees:[ 1 ] ~jobs:1 k
       ~measure:(fun _ _ -> 1.0)
   in
-  let excluded =
-    List.filter
-      (fun (f : Gpcc_core.Explore.failure) ->
-        f.failed_target = 256 && f.failed_stage = `Verify)
-      failures
+  Alcotest.(check int) "no config fails" 0 (List.length failures);
+  let cand target =
+    match
+      List.find_opt
+        (fun (c : Gpcc_core.Explore.candidate) ->
+          c.target_block_threads = target)
+        cands
+    with
+    | Some c -> c.result
+    | None -> Alcotest.failf "%d-thread config missing from candidates" target
   in
-  Alcotest.(check bool)
-    "256-thread config rejected at the Verify stage" true (excluded <> []);
-  Alcotest.(check bool)
-    "64-thread config survives into the candidate set" true
-    (List.exists
-       (fun (c : Gpcc_core.Explore.candidate) -> c.target_block_threads = 64)
-       cands)
+  ignore (cand 64);
+  (* the racy 256-thread launch is never built: the pipeline keeps
+     modk at a 16x1 block, inside the region where it is race-free *)
+  let r = cand 256 in
+  Alcotest.(check (pair int int))
+    "256-thread config compiles to a 16x1 block" (16, 1)
+    (r.launch.block_x, r.launch.block_y);
+  Alcotest.(check int)
+    "and verifies clean" 0
+    (List.length (V.errors (V.check ~launch:r.launch r.kernel)))
 
-(* --- parametric verdicts survive the on-disk round trip --- *)
+(* --- the coverage memo is domain-local: concurrent checks agree --- *)
 
-let test_pverdict_disk_round_trip () =
-  let w = Registry.find_exn "tmv" in
-  let k = Workload.parse w w.test_size in
-  let fresh = SV.check k in
-  let r1 = Cache.symbolic_result (Cache.create ()) k in
-  let r2 = Cache.symbolic_result (Cache.create ()) k in
-  Alcotest.(check bool)
-    "first instance matches Symverify.check" true (r1 = fresh);
-  Alcotest.(check bool) "disk round trip is lossless" true (r2 = fresh)
-
-let test_pverdict_disk_corruption () =
-  let w = Registry.find_exn "vv" in
-  let k = Workload.parse w w.test_size in
-  let fresh = SV.check k in
-  let r1 = Cache.symbolic_result (Cache.create ()) k in
-  Alcotest.(check bool) "baseline verdict" true (r1 = fresh);
-  (* pverdicts live in the sharded artifact store, keyed by the full
-     kernel text; find this kernel's entry by its stored key *)
-  let root = Gpcc_util.Store.default_root () in
-  let full = Pp.kernel_to_string k in
-  let read_file p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+let test_concurrent_check_agrees () =
+  let kernels =
+    Registry.all
+    |> List.concat_map (fun (w : Workload.t) ->
+           let k = Workload.parse w w.test_size in
+           [ k; (Gpcc_core.Pipeline.run k).kernel ])
+    |> Array.of_list
   in
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec scan i =
-      i + n <= h && (String.equal (String.sub hay i n) needle || scan (i + 1))
-    in
-    scan 0
+  let n = Array.length kernels in
+  (* each domain starts at a different offset, so the domains analyse
+     different kernels at the same moment *)
+  let run d =
+    let out = Array.make n None in
+    for j = 0 to n - 1 do
+      let i = (j + (d * n / 4)) mod n in
+      out.(i) <- Some (SV.check kernels.(i))
+    done;
+    Array.map Option.get out
   in
-  let path =
-    Sys.readdir root |> Array.to_list
-    |> List.concat_map (fun shard ->
-           let d = Filename.concat root shard in
-           if Sys.is_directory d then
-             Sys.readdir d |> Array.to_list
-             |> List.filter (fun f -> Filename.extension f = ".pverdict")
-             |> List.map (Filename.concat d)
-           else [])
-    |> List.filter (fun p -> contains ~needle:full (read_file p))
-    |> function
-    | [ p ] -> p
-    | ps ->
-        Alcotest.failf "expected exactly one pverdict entry, got %d"
-          (List.length ps)
+  let concurrent =
+    List.init 4 (fun d -> Domain.spawn (fun () -> run d))
+    |> List.map Domain.join
   in
-  Alcotest.(check bool) "pverdict file exists" true (Sys.file_exists path);
-  let overwrite content =
-    let oc = open_out_bin path in
-    output_string oc content;
-    close_out oc
-  in
+  let sequential = Array.map SV.check kernels in
   List.iter
-    (fun (what, content) ->
-      overwrite content;
-      let r = Cache.symbolic_result (Cache.create ()) k in
-      Alcotest.(check bool) (what ^ ": verdict recomputed") true (r = fresh);
-      let r2 = Cache.symbolic_result (Cache.create ()) k in
-      Alcotest.(check bool)
-        (what ^ ": rewritten file round-trips") true (r2 = fresh))
-    [
-      ("empty file", "");
-      ("wrong header", "not-a-verdict\ngarbage");
-      ("truncated payload", "gpcc-symverify-v1\n\000\000");
-    ]
+    (Array.iteri (fun i r ->
+         if r <> sequential.(i) then
+           Alcotest.failf "%s: concurrent verdict %s, sequential %s"
+             kernels.(i).Ast.k_name
+             (SV.verdict_to_string r.SV.verdict)
+             (SV.verdict_to_string sequential.(i).SV.verdict)))
+    concurrent
 
 (* --- the concrete tier flags its own truncated race check --- *)
 
@@ -357,12 +319,10 @@ let suite =
         test_negative_kernels;
       Alcotest.test_case "random affine agreement" `Slow
         test_random_affine_agreement;
-      Alcotest.test_case "Proved_when prunes explore configs" `Quick
-        test_proved_when_excludes_configs;
-      Alcotest.test_case "parametric verdicts: disk round trip" `Quick
-        test_pverdict_disk_round_trip;
-      Alcotest.test_case "parametric verdicts: corrupt files recovered"
-        `Quick test_pverdict_disk_corruption;
+      Alcotest.test_case "Proved_when configs compile clean" `Quick
+        test_proved_when_configs_compile;
+      Alcotest.test_case "concurrent checks == sequential" `Slow
+        test_concurrent_check_agrees;
       Alcotest.test_case "verify-incomplete warning" `Quick
         test_verify_incomplete_warning;
     ] )

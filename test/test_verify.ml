@@ -245,24 +245,16 @@ let test_verifier_rejected_classifier () =
     "non-compile exceptions are not verifier rejections" false
     (Gpcc_core.Pipeline.verifier_rejected Not_found)
 
-let test_step_diagnostics_recorded () =
-  let w = Gpcc_workloads.Registry.find_exn "mm" in
-  let k = Gpcc_workloads.Workload.parse w w.test_size in
-  let r = compile k in
-  Alcotest.(check bool)
-    "no error diagnostics on any step" true
-    (List.for_all
-       (fun (s : Gpcc_core.Pipeline.step) -> V.errors s.diagnostics = [])
-       r.steps);
-  (* disabling verification yields empty diagnostics *)
-  let r' =
+let test_verify_false_skips_gate () =
+  (* the default gate rejects racy_src (see above); with translation
+     validation off the same kernel compiles *)
+  let k = parse_kernel racy_src in
+  let r =
     Gpcc_core.Pipeline.run
       ~pipeline:(Gpcc_core.Pipeline.default ~verify:false ())
       k
   in
-  Alcotest.(check int)
-    "verify:false records no diagnostics" 0
-    (List.length (Gpcc_core.Pipeline.diagnostics r'))
+  Alcotest.(check bool) "steps recorded" true (r.steps <> [])
 
 let test_explore_classifies_verify_failures () =
   (* a racy input fails every configuration at the verify stage *)
@@ -353,8 +345,8 @@ let suite =
         test_compile_rejects_racy_input;
       Alcotest.test_case "verifier_rejected classifier" `Quick
         test_verifier_rejected_classifier;
-      Alcotest.test_case "step diagnostics recorded" `Quick
-        test_step_diagnostics_recorded;
+      Alcotest.test_case "verify:false compiles racy input" `Quick
+        test_verify_false_skips_gate;
       Alcotest.test_case "explore classifies verify failures" `Quick
         test_explore_classifies_verify_failures;
       Alcotest.test_case "diagnostic json shape" `Quick test_json_shape;
