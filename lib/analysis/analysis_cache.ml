@@ -29,23 +29,23 @@
 
 open Gpcc_ast
 
-(** The analyses the cache knows about — the invalidation vocabulary
-    passes declare against. *)
+(** The analyses a fired pass can carry forward — the invalidation
+    vocabulary passes declare against. The verifier's verdict is not
+    one: the pipeline verifies only its input and final kernel, so no
+    intermediate verdict exists to carry. *)
 type kind =
   | Affine  (** the affine access table: {!Coalesce_check.analyze_kernel} *)
   | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
   | Coalesce  (** the all-accesses-coalesced verdict *)
   | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-  | Verify  (** the verifier's error diagnostics: {!verify} *)
 
-let all_kinds = [ Affine; Sharing; Coalesce; Regcount; Verify ]
+let all_kinds = [ Affine; Sharing; Coalesce; Regcount ]
 
 let kind_name = function
   | Affine -> "affine"
   | Sharing -> "sharing"
   | Coalesce -> "coalesce"
   | Regcount -> "regcount"
-  | Verify -> "verify"
 
 type 'a cell = { v : 'a; mutable tick : int }
 
@@ -269,10 +269,7 @@ let preserve (t : t) ~(kinds : kind list)
             ~to_key:(Lazy.force to_kl)
       | Regcount ->
           carry t t.regcount ~from_key:(kernel_key k0)
-            ~to_key:(kernel_key k1)
-      | Verify ->
-          carry t t.verify ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl))
+            ~to_key:(kernel_key k1))
     kinds
 
 (* One instance per worker domain: the exploration pool fans compiles

@@ -12,14 +12,15 @@
     When a slot reaches capacity the least-recently-used entry is
     evicted, so hot entries survive long design-space explorations. *)
 
-(** The analyses the cache memoizes — the vocabulary passes use to
-    declare invalidations. *)
+(** The analyses a fired pass can carry forward — the vocabulary passes
+    use to declare invalidations. The verifier's verdict is not one: the
+    pipeline verifies only its input and final kernel, so no
+    intermediate verdict exists to carry. *)
 type kind =
   | Affine  (** the affine access table: {!Coalesce_check.analyze_kernel} *)
   | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
   | Coalesce  (** the all-accesses-coalesced verdict *)
   | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-  | Verify  (** the verifier's error diagnostics: {!verify} *)
 
 val all_kinds : kind list
 val kind_name : kind -> string
@@ -83,7 +84,7 @@ val regcount : t -> Gpcc_ast.Ast.kernel -> int * int
 val verify :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list
-(** The error diagnostics of [Verify.check ~launch k] ([Verify] slot) —
+(** The error diagnostics of [Verify.check ~launch k] (verify slot) —
     the compiler's one verifier entry point. The memoized
     launch-parametric {!Symverify} proof of the kernel text is asked
     first; when it does not prove this launch clean the concrete

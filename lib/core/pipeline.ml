@@ -15,10 +15,12 @@
     Figure-12 instrumentation, the design-space exploration and the
     bench harness — consumes the same value instead of re-plumbing
     boolean options. The driver is generic over the pass records: it
-    times each sub-step, runs translation validation after every fired
-    transform, records a structured {!Remark.t} per step, and carries
-    the analyses a pass declares preserved forward in the per-domain
-    {!Gpcc_analysis.Analysis_cache}.
+    times each sub-step, records a structured {!Remark.t} per step,
+    carries the analyses a pass declares preserved forward in the
+    per-domain {!Gpcc_analysis.Analysis_cache}, and translation-validates
+    the input and the final kernel. The fired steps are re-checked, in
+    order, only to blame a rejection on the first pass whose output the
+    verifier rejects.
 
     Note on ordering: the paper runs prefetching before partition-camping
     elimination; we run camping elimination first because the 1-D
@@ -41,7 +43,7 @@ type t = {
   cfg : Gpcc_sim.Config.t;
   target_block_threads : int;  (** 128 / 256 / 512 (Section 4.1) *)
   merge_degree : int;  (** threads merged into one: 4 / 8 / 16 / 32 *)
-  verify : bool;  (** translation validation after every fired pass *)
+  verify : bool;  (** translation validation of the input and the result *)
   specs : spec list;
 }
 
@@ -192,6 +194,13 @@ let reset_pass_timings () =
 (* The driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** The {!Compile_error} that blames the verifier's [errs] on [name]. *)
+let rejected (name : string) (errs : Gpcc_analysis.Verify.diagnostic list) :
+    exn =
+  Compile_error
+    (Printf.sprintf "%s failed after pass %S: %s" validation_prefix name
+       (String.concat "; " (List.map Gpcc_analysis.Verify.to_string errs)))
+
 (** Validate a kernel; errors blame [name]. Verdicts are memoized in
     the per-domain analysis cache and the artifact store. *)
 let validate ~(verify : bool) (cache : Cache.t) (name : string)
@@ -199,13 +208,7 @@ let validate ~(verify : bool) (cache : Cache.t) (name : string)
   if verify then
     match Cache.verify cache ~launch k with
     | [] -> ()
-    | errs ->
-        raise
-          (Compile_error
-             (Printf.sprintf "%s failed after pass %S: %s" validation_prefix
-                name
-                (String.concat "; "
-                   (List.map Gpcc_analysis.Verify.to_string errs))))
+    | errs -> raise (rejected name errs)
 
 let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
   Typecheck.check naive;
@@ -229,6 +232,8 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
     }
   in
   let steps = ref [] in
+  (* (label, kernel, launch) of every fired step, newest first *)
+  let fired_steps = ref [] in
   let record (p : Pass.t) label ~fired ~reason ~notes ~before_m ~after_m
       ~duration_ms ~kernel ~launch =
     steps :=
@@ -254,52 +259,86 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
       :: !steps
   in
   let k = ref naive and l = ref launch in
-  List.iter
-    (fun spec ->
-      if spec.sp_enabled then begin
-        let p = spec.sp_pass in
-        (* one recorded, timed, validated sub-step; [k0]/[l0] is the
-           sub-step's input state (multi-step passes thread their own) *)
-        let emit label k0 l0 f =
-          let before_m = Remark.metrics cache k0 l0 in
-          let t0 = Unix.gettimeofday () in
-          let o : Pass_util.outcome = f k0 l0 in
-          let duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          note_timing p.Pass.name duration_ms;
-          if o.fired then begin
-            validate ~verify:pipeline.verify cache label o.kernel o.launch;
-            Cache.preserve cache ~kinds:(Pass.preserved p) ~from_:(k0, l0)
-              ~to_:(o.kernel, o.launch)
-          end;
-          let after_m =
-            if o.fired then Remark.metrics cache o.kernel o.launch
-            else before_m
+  let optimize () =
+    List.iter
+      (fun spec ->
+        if spec.sp_enabled then begin
+          let p = spec.sp_pass in
+          (* one recorded, timed sub-step; [k0]/[l0] is the sub-step's
+             input state (multi-step passes thread their own) *)
+          let emit label k0 l0 f =
+            let before_m = Remark.metrics cache k0 l0 in
+            let t0 = Unix.gettimeofday () in
+            let o : Pass_util.outcome = f k0 l0 in
+            let duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+            note_timing p.Pass.name duration_ms;
+            if o.fired then begin
+              fired_steps := (label, o.kernel, o.launch) :: !fired_steps;
+              Cache.preserve cache ~kinds:(Pass.preserved p) ~from_:(k0, l0)
+                ~to_:(o.kernel, o.launch)
+            end;
+            let after_m =
+              if o.fired then Remark.metrics cache o.kernel o.launch
+              else before_m
+            in
+            let reason =
+              match o.notes with
+              | n :: _ -> n
+              | [] -> if o.fired then "applied" else "nothing to do"
+            in
+            record p label ~fired:o.fired ~reason ~notes:o.notes ~before_m
+              ~after_m ~duration_ms ~kernel:o.kernel ~launch:o.launch;
+            o
           in
-          let reason =
-            match o.notes with
-            | n :: _ -> n
-            | [] -> if o.fired then "applied" else "nothing to do"
-          in
-          record p label ~fired:o.fired ~reason ~notes:o.notes ~before_m
-            ~after_m ~duration_ms ~kernel:o.kernel ~launch:o.launch;
-          o
-        in
-        match p.Pass.applies ctx !k !l with
-        | Pass.Declined reason ->
-            let m = Remark.metrics cache !k !l in
-            record p p.Pass.label ~fired:false ~reason ~notes:[ reason ]
-              ~before_m:m ~after_m:m ~duration_ms:0.0 ~kernel:!k ~launch:!l
-        | Pass.Applies ->
-            let k', l' = p.Pass.transform ctx emit !k !l in
-            k := k';
-            l := l'
-      end)
-    pipeline.specs;
-  (match Typecheck.check_result !k with
-  | Ok () -> ()
-  | Error m ->
-      raise (Compile_error ("internal: optimized kernel ill-typed: " ^ m)));
-  { kernel = !k; launch = !l; steps = List.rev !steps }
+          match p.Pass.applies ctx !k !l with
+          | Pass.Declined reason ->
+              let m = Remark.metrics cache !k !l in
+              record p p.Pass.label ~fired:false ~reason ~notes:[ reason ]
+                ~before_m:m ~after_m:m ~duration_ms:0.0 ~kernel:!k ~launch:!l
+          | Pass.Applies ->
+              let k', l' = p.Pass.transform ctx emit !k !l in
+              k := k';
+              l := l'
+        end)
+      pipeline.specs
+  in
+  (* Raise the error of the first fired step, in order, that the
+     verifier rejects; return when every fired step is clean. *)
+  let blame () =
+    List.iter
+      (fun (label, k, l) -> validate ~verify:true cache label k l)
+      (List.rev !fired_steps)
+  in
+  (* Only the final kernel is translation-validated: each intermediate
+     is a fresh kernel text that nothing runs, so validating every one
+     would pay a full proof per fired pass. Returns the final kernel's
+     errors and the label of the last fired step. *)
+  let optimize_and_check () =
+    optimize ();
+    (match Typecheck.check_result !k with
+    | Ok () -> ()
+    | Error m ->
+        raise (Compile_error ("internal: optimized kernel ill-typed: " ^ m)));
+    match !fired_steps with
+    | (label, _, _) :: _ when pipeline.verify -> (
+        match Cache.verify cache ~launch:!l !k with
+        | [] -> None
+        | errs -> Some (label, errs))
+    | _ -> None
+  in
+  match optimize_and_check () with
+  | None -> { kernel = !k; launch = !l; steps = List.rev !steps }
+  | Some (label, errs) ->
+      blame ();
+      (* the final kernel is the last step's output, so [blame] raised;
+         a pass that returned another kernel is blamed here *)
+      raise (rejected label errs)
+  | exception e when pipeline.verify ->
+      (* a rejected step before the failure is its likeliest cause, so
+         it is reported in preference to the failure itself *)
+      let bt = Printexc.get_raw_backtrace () in
+      blame ();
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Figure 12: cumulative prefixes from one instrumented run            *)

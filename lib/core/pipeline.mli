@@ -15,7 +15,7 @@ type t = {
   cfg : Gpcc_sim.Config.t;
   target_block_threads : int;  (** 128 / 256 / 512 (Section 4.1) *)
   merge_degree : int;  (** threads merged into one: 4 / 8 / 16 / 32 *)
-  verify : bool;  (** translation validation after every fired pass *)
+  verify : bool;  (** translation validation of the input and the result *)
   specs : spec list;
 }
 
@@ -78,8 +78,19 @@ val remarks : result -> Remark.t list
 val run : ?pipeline:t -> Ast.kernel -> result
 (** Run the pipeline on a parsed naive kernel. Raises {!Compile_error}
     when the thread domain cannot be derived, when translation
-    validation rejects a pass result, or when the optimized kernel fails
-    the final type check. *)
+    validation rejects the input or the optimized kernel, or when the
+    optimized kernel fails the final type check.
+
+    With [verify] on, the verifier checks the input and, when a pass
+    fired, the final kernel at the final launch — not each intermediate.
+    When the final kernel is rejected, or a pass or the final check
+    raises, the fired steps are re-checked in order and the
+    {!Compile_error} blames the first step the verifier rejects (message:
+    ["translation validation failed after pass <step>: <errors>"]);
+    when none is rejected the original exception is re-raised. A pass
+    output that is transiently racy or out of bounds but repaired by a
+    later pass therefore compiles: only the kernel that runs must be
+    clean. *)
 
 val stage_labels : string list
 

@@ -36,9 +36,10 @@ type decision =
   | Declined of string
 
 (** Provided by the pipeline driver to [transform]: [emit label k l f]
-    runs [f k l] as one recorded sub-step — timed, translation-validated
-    when it fires, cache bookkeeping applied — and returns its outcome.
-    Multi-step passes (merge) call it once per sub-transform. *)
+    runs [f k l] as one recorded sub-step — timed, kept for blaming a
+    translation-validation failure when it fires, cache bookkeeping
+    applied — and returns its outcome. Multi-step passes (merge) call it
+    once per sub-transform. *)
 type emit =
   string ->
   Ast.kernel ->
@@ -270,9 +271,9 @@ let licm : t =
     (* Hoisting only rebinds integer address arithmetic to names the
        affine machinery resolves, so the data-sharing summary and the
        coalescing verdict survive; the access table (whose contexts
-       record the new bindings), register pressure and the verifier's
-       view do not. Property-tested in test_pipeline. *)
-    invalidates = [ Cache.Affine; Cache.Regcount; Cache.Verify ];
+       record the new bindings) and register pressure do not.
+       Property-tested in test_pipeline. *)
+    invalidates = [ Cache.Affine; Cache.Regcount ];
     applies = always;
     transform =
       (fun _ctx emit k l -> single "invariant hoisting" Licm.apply emit k l);

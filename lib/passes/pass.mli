@@ -20,8 +20,9 @@ type decision =
   | Declined of string
 
 (** Provided by the pipeline driver: [emit label k l f] runs [f k l] as
-    one recorded sub-step (timed, translation-validated when it fires,
-    analysis-cache bookkeeping applied) and returns its outcome. *)
+    one recorded sub-step (timed, kept for blaming a
+    translation-validation failure when it fires, analysis-cache
+    bookkeeping applied) and returns its outcome. *)
 type emit =
   string ->
   Gpcc_ast.Ast.kernel ->

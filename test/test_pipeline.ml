@@ -149,9 +149,6 @@ let test_invalidation_declarations_sound () =
                   Cache.regcount cache k
                   = ( Gpcc_analysis.Regcount.estimate k,
                       Gpcc_analysis.Regcount.shared_bytes k )
-              | Cache.Verify ->
-                  Cache.verify cache ~launch:l k
-                  = Gpcc_analysis.Verify.(errors (check ~launch:l k))
             in
             if not ok then
               Alcotest.failf
@@ -356,6 +353,163 @@ let test_verify_matches_concrete () =
     "every second-pass verdict is a store hit" true
     (Gpcc_util.Store.global_hits () - hits0 >= List.length cases)
 
+(* --- final-kernel validation == validating every fired step --- *)
+
+(* The oracle validates every step: compile with validation off, then
+   run the concrete verifier on the input and on every fired step in
+   order; the first rejection is the compile's error. [Pipeline.run] validates only the input and the final kernel,
+   re-checking the steps only to blame a rejection, and must agree on
+   accept/reject, on the error text and on the result kernel for every
+   registry workload and default configuration. *)
+let test_final_validation_matches_per_step () =
+  let outcome f =
+    match f () with
+    | (r : Pipeline.result) -> Ok (printed r.kernel r.launch)
+    | exception Pipeline.Compile_error m -> Error m
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let oracle k (target, degree) =
+    outcome @@ fun () ->
+    let pipeline =
+      Pipeline.default ~cfg:cfg280 ~target_block_threads:target
+        ~merge_degree:degree ~verify:false ()
+    in
+    let r = Pipeline.run ~pipeline k in
+    let launch = Option.get (Gpcc_passes.Pass_util.initial_launch k) in
+    let states =
+      ("input", k, launch)
+      :: List.filter_map
+           (fun (s : Pipeline.step) ->
+             if s.fired then Some (s.step_name, s.kernel_after, s.launch_after)
+             else None)
+           r.steps
+    in
+    List.iter
+      (fun (name, k, l) ->
+        match Gpcc_analysis.Verify.(errors (check ~launch:l k)) with
+        | [] -> ()
+        | errs ->
+            raise
+              (Pipeline.Compile_error
+                 (Printf.sprintf
+                    "translation validation failed after pass %S: %s" name
+                    (String.concat "; "
+                       (List.map Gpcc_analysis.Verify.to_string errs)))))
+      states;
+    r
+  in
+  let rejected = ref 0 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let k = Workload.parse w w.test_size in
+      List.iter
+        (fun target ->
+          List.iter
+            (fun degree ->
+              let expect = oracle k (target, degree) in
+              let got =
+                outcome (fun () ->
+                    Pipeline.run
+                      ~pipeline:
+                        (Pipeline.default ~cfg:cfg280
+                           ~target_block_threads:target ~merge_degree:degree
+                           ())
+                      k)
+              in
+              if Result.is_error expect then incr rejected;
+              Alcotest.(check (result string string))
+                (Printf.sprintf "%s@%d (%d,%d)" w.name w.test_size target
+                   degree)
+                expect got)
+            Gpcc_core.Explore.default_merge_degrees)
+        Gpcc_core.Explore.default_block_targets)
+    Registry.all;
+  Alcotest.(check bool) "some configuration is rejected" true (!rejected > 0)
+
+(* --- the validation contract, with synthetic passes --- *)
+
+let synced_src =
+  {|#pragma gpcc dim n 64
+#pragma gpcc output c
+__kernel void racy(float a[64], float c[64], int n) {
+  __shared__ float s[16];
+  s[tidx] = a[idx];
+  __syncthreads();
+  c[idx] = s[(tidx + 1) % 16];
+}|}
+
+(* A pass that always fires, replacing the kernel with [rewrite k]. *)
+let synthetic name (rewrite : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.kernel) :
+    Pipeline.spec =
+  let transform _ctx (emit : Pass.emit) k l =
+    let o =
+      emit name k l (fun k l ->
+          { Gpcc_passes.Pass_util.kernel = rewrite k; launch = l; fired = true;
+            notes = [] })
+    in
+    (o.kernel, o.launch)
+  in
+  {
+    Pipeline.sp_pass =
+      { Pass.name; label = name; section = "-"; summary = name; uses = [];
+        invalidates = Cache.all_kinds; applies = (fun _ _ _ -> Pass.Applies);
+        transform };
+    sp_enabled = true;
+  }
+
+let run_synthetic specs =
+  Pipeline.run
+    ~pipeline:{ (Pipeline.default ~cfg:cfg280 ()) with specs }
+    (parse_kernel synced_src)
+
+(* A racy step followed by a pass that raises: the error blames the
+   racy step, not the later failure. *)
+let test_raise_blames_racy_step () =
+  let racy = parse_kernel Test_verify.racy_src in
+  match
+    run_synthetic
+      [ synthetic "racify" (fun _ -> racy);
+        synthetic "explode" (fun _ -> failwith "explode") ]
+  with
+  | _ -> Alcotest.fail "a racy step followed by a failing pass compiled"
+  | exception (Pipeline.Compile_error m as e) ->
+      Alcotest.(check bool) "verifier_rejected" true
+        (Pipeline.verifier_rejected e);
+      assert_contains "blames the racy step" m
+        {|translation validation failed after pass "racify": error[race-shared]|}
+
+(* Only the kernel that runs must be clean: a racy step repaired by a
+   later pass compiles. *)
+let test_repaired_step_compiles () =
+  let racy = parse_kernel Test_verify.racy_src
+  and synced = parse_kernel synced_src in
+  let r =
+    run_synthetic
+      [ synthetic "racify" (fun _ -> racy);
+        synthetic "repair" (fun _ -> synced) ]
+  in
+  Alcotest.(check bool) "result is the repaired kernel" true
+    (Gpcc_ast.Ast.equal_kernel r.kernel synced)
+
+(* A clean compile computes two verdicts, the input's and the final
+   kernel's, however many steps fire. Run on a fresh domain, so its
+   analysis cache is empty, after dropping the stored verdicts. *)
+let test_clean_compile_verifies_twice () =
+  let w = Registry.find_exn "mm" in
+  let k = Workload.parse w w.test_size in
+  let pipeline =
+    Pipeline.default ~cfg:cfg280 ~target_block_threads:256 ~merge_degree:16 ()
+  in
+  let computed () =
+    Cache.global_symbolic_proofs () + Cache.global_concrete_fallbacks ()
+  in
+  Gpcc_util.Store.clear ~kind:"verdict" (Gpcc_util.Store.open_root ());
+  let before = computed () in
+  let r = Domain.join (Domain.spawn (fun () -> Pipeline.run ~pipeline k)) in
+  let fired = List.filter (fun (s : Pipeline.step) -> s.fired) r.steps in
+  Alcotest.(check bool) "several steps fired" true (List.length fired > 2);
+  Alcotest.(check int) "verdicts computed" 2 (computed () - before)
+
 (* --- remarks: structure and JSON emission --- *)
 
 let test_remarks_structure () =
@@ -433,6 +587,14 @@ let suite =
         test_verify_disk_corruption;
       Alcotest.test_case "Cache.verify == concrete, cold + store" `Slow
         test_verify_matches_concrete;
+      Alcotest.test_case "final-kernel validation == per-step oracle" `Slow
+        test_final_validation_matches_per_step;
+      Alcotest.test_case "racy step then a raising pass: blame the step"
+        `Quick test_raise_blames_racy_step;
+      Alcotest.test_case "racy step repaired by a later pass compiles" `Quick
+        test_repaired_step_compiles;
+      Alcotest.test_case "clean compile: two verdicts (input, final)" `Quick
+        test_clean_compile_verifies_twice;
       Alcotest.test_case "remarks: structure and JSON" `Quick
         test_remarks_structure;
       Alcotest.test_case "pipeline surgery: disable / with_passes / describe"
