@@ -918,8 +918,6 @@ let explore () =
                 ~cache_prefix:key k ~measure)
         in
         let run_funnel () =
-          (* a fresh handle each time: warm must hit the disk, not the
-             previous handle's in-memory memo *)
           Gpcc_core.Explore.search_funnel ~cfg ~jobs:!jobs
             ~cache:(Gpcc_core.Explore_cache.open_dir ~dir:fu_dir ())
             ~cache_prefix:key
@@ -1020,8 +1018,8 @@ let emit_json ~name ~wall_s ~sim_s ~hits ~misses ~analysis_hits
          ("entries", Json_out.Int (Gpcc_core.Explore_cache.entries c));
        ]
      else [ ("hits", Json_out.Int 0); ("misses", Json_out.Int 0) ])
-    (* the in-process analysis manager (memoized Affine/Sharing/Coalesce/
-       Regcount/Verify results), aggregated across worker domains *)
+    (* the in-process verdict cache (memoized verdicts and symbolic
+       proofs), aggregated across worker domains *)
     @ [
         ("analysis_hits", Json_out.Int analysis_hits);
         ("analysis_misses", Json_out.Int analysis_misses);

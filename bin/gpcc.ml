@@ -161,7 +161,7 @@ let compile_cmd =
       & info [ "print-pipeline" ]
           ~doc:
             "Print the resolved pass pipeline (names, paper sections, \
-             analysis uses/invalidations) and exit without compiling.")
+             summaries) and exit without compiling.")
   in
   let remarks_json =
     Arg.(

@@ -1,22 +1,19 @@
-(** Memoized kernel analyses with bounded, LRU-bias eviction.
+(** The verdict cache: memoized verifier answers with bounded,
+    LRU-bias eviction.
 
-    Every layer of the compiler keeps re-deriving the same facts about
-    the same intermediate kernels: the affine access table ({!Coalesce_check}),
-    the coalescing verdict, the data-sharing summary ({!Sharing}), the
-    register/shared-memory estimate ({!Regcount}) and the verifier's
-    error diagnostics ({!Verify}). The design-space exploration makes this
-    quadratic — dozens of configurations whose pipelines revisit
-    identical intermediate kernels. This cache memoizes all five,
-    keyed by a digest of the printed kernel (plus the launch for
-    launch-dependent analyses), so any change to the kernel text
-    invalidates implicitly.
+    A verdict ({!Verify.check}'s error diagnostics) is a pure function
+    of the printed kernel at the launch, and the design-space
+    exploration asks for the same one across dozens of configurations
+    and processes. This cache memoizes it per worker domain, keyed by a
+    digest of the printed kernel and launch, and persists it through
+    the artifact store; the launch-parametric {!Symverify} proof it
+    consults first is memoized per kernel text. Changing the kernel
+    text changes the key, so an entry can never go stale.
 
-    Passes additionally *declare* which analyses a fired transform
-    invalidates (see {!Gpcc_passes.Pass}); for the analyses a pass
-    preserves, {!preserve} carries the cached result forward from the
-    pre-transform kernel to the post-transform kernel without
-    recomputation. The soundness of each declaration is property-tested
-    (the preserved value must equal a fresh recomputation).
+    The cheaper analyses — the affine access table, the coalescing
+    check, the data-sharing summary and the register estimate — are not
+    cached: printing and digesting the kernel to form a key costs more
+    than computing them, so passes call them directly.
 
     Eviction is bounded and per-entry: when a slot reaches capacity the
     least-recently-used entry is dropped, so hot entries survive a long
@@ -29,33 +26,11 @@
 
 open Gpcc_ast
 
-(** The analyses a fired pass can carry forward — the invalidation
-    vocabulary passes declare against. The verifier's verdict is not
-    one: the pipeline verifies only its input and final kernel, so no
-    intermediate verdict exists to carry. *)
-type kind =
-  | Affine  (** the affine access table: {!Coalesce_check.analyze_kernel} *)
-  | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
-  | Coalesce  (** the all-accesses-coalesced verdict *)
-  | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-
-let all_kinds = [ Affine; Sharing; Coalesce; Regcount ]
-
-let kind_name = function
-  | Affine -> "affine"
-  | Sharing -> "sharing"
-  | Coalesce -> "coalesce"
-  | Regcount -> "regcount"
-
 type 'a cell = { v : 'a; mutable tick : int }
 
 type 'a slot = (string, 'a cell) Hashtbl.t
 
 type t = {
-  affine : Coalesce_check.access list slot;
-  sharing : Sharing.array_sharing list slot;
-  coalesce : bool slot;
-  regcount : (int * int) slot;  (** (registers/thread, shared bytes/block) *)
   verify : Verify.diagnostic list slot;
   symbolic : Symverify.result slot;  (** parametric proofs, kernel-keyed *)
   capacity : int;  (** max entries per slot before LRU eviction *)
@@ -68,10 +43,6 @@ let default_capacity = 512
 
 let create ?(capacity = default_capacity) () =
   {
-    affine = Hashtbl.create 64;
-    sharing = Hashtbl.create 64;
-    coalesce = Hashtbl.create 64;
-    regcount = Hashtbl.create 64;
     verify = Hashtbl.create 64;
     symbolic = Hashtbl.create 64;
     capacity = max 1 capacity;
@@ -80,14 +51,8 @@ let create ?(capacity = default_capacity) () =
     misses = 0;
   }
 
-let capacity t = t.capacity
 let hits t = t.hits
 let misses t = t.misses
-
-let length t =
-  Hashtbl.length t.affine + Hashtbl.length t.sharing
-  + Hashtbl.length t.coalesce + Hashtbl.length t.regcount
-  + Hashtbl.length t.verify + Hashtbl.length t.symbolic
 
 (* hit/miss totals across every domain's instance, for bench reporting *)
 let global_hit_count = Atomic.make 0
@@ -120,7 +85,7 @@ let timed (f : unit -> 'a) : 'a =
 let key (k : Ast.kernel) (l : Ast.launch) : string =
   Digest.string (Pp.kernel_to_string ~launch:l k)
 
-(** Launch-independent key (register/shared-memory estimation). *)
+(** Launch-independent key (the symbolic proof). *)
 let kernel_key (k : Ast.kernel) : string = Digest.string (Pp.kernel_to_string k)
 
 (* Drop the least-recently-used entry of a slot (linear scan: slots are
@@ -150,23 +115,6 @@ let find (t : t) (slot : 'a slot) (key : string) (compute : unit -> 'a) : 'a =
       if Hashtbl.length slot >= t.capacity then evict_lru slot;
       Hashtbl.replace slot key { v; tick = t.tick };
       v
-
-let accesses (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
-    Coalesce_check.access list =
-  find t t.affine (key k launch) (fun () ->
-      Coalesce_check.analyze_kernel ~launch k)
-
-let coalesced (t : t) ~(launch : Ast.launch) (k : Ast.kernel) : bool =
-  find t t.coalesce (key k launch) (fun () ->
-      Coalesce_check.all_coalesced (accesses t ~launch k))
-
-let sharing (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
-    Sharing.array_sharing list =
-  find t t.sharing (key k launch) (fun () -> Sharing.analyze ~launch k)
-
-let regcount (t : t) (k : Ast.kernel) : int * int =
-  find t t.regcount (kernel_key k) (fun () ->
-      (Regcount.estimate k, Regcount.shared_bytes k))
 
 (* --- the verifier entry point -------------------------------------- *)
 (* Without persistence every candidate of a warm sweep would be
@@ -234,43 +182,6 @@ let verify (t : t) ~(launch : Ast.launch) (k : Ast.kernel) :
           in
           Store.store store verdict_kind ~key:full ds;
           ds)
-
-(* Copy one slot's cached value from the old key to the new key (no
-   hit/miss accounting: this is bookkeeping, not a lookup). *)
-let carry (t : t) (slot : 'a slot) ~(from_key : string) ~(to_key : string) :
-    unit =
-  if not (String.equal from_key to_key) then
-    match Hashtbl.find_opt slot from_key with
-    | None -> ()
-    | Some cell ->
-        t.tick <- t.tick + 1;
-        if
-          (not (Hashtbl.mem slot to_key))
-          && Hashtbl.length slot >= t.capacity
-        then evict_lru slot;
-        Hashtbl.replace slot to_key { v = cell.v; tick = t.tick }
-
-let preserve (t : t) ~(kinds : kind list)
-    ~(from_ : Ast.kernel * Ast.launch) ~(to_ : Ast.kernel * Ast.launch) :
-    unit =
-  let k0, l0 = from_ and k1, l1 = to_ in
-  let from_kl = lazy (key k0 l0) and to_kl = lazy (key k1 l1) in
-  List.iter
-    (fun kind ->
-      match kind with
-      | Affine ->
-          carry t t.affine ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl)
-      | Sharing ->
-          carry t t.sharing ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl)
-      | Coalesce ->
-          carry t t.coalesce ~from_key:(Lazy.force from_kl)
-            ~to_key:(Lazy.force to_kl)
-      | Regcount ->
-          carry t t.regcount ~from_key:(kernel_key k0)
-            ~to_key:(kernel_key k1))
-    kinds
 
 (* One instance per worker domain: the exploration pool fans compiles
    out across domains, and a shared table would need a lock on the hot

@@ -1,42 +1,24 @@
-(** Memoized kernel analyses with bounded LRU eviction.
-
-    Memoizes the five analyses the compiler keeps re-deriving — the
-    affine access table, the coalescing verdict, inter-block data
-    sharing, register/shared-memory estimation, and the verifier's
-    verdict — keyed by a digest of the printed kernel (plus the launch
-    configuration for launch-dependent analyses). Changing the kernel
-    text changes the key, so results can never go stale; passes that
-    declare an analysis {e preserved} carry its result forward to the
-    transformed kernel with {!preserve}.
+(** The verdict cache: the verifier's answers, memoized per worker
+    domain with bounded LRU eviction and persisted in the artifact
+    store, keyed by a digest of the printed kernel at the launch.
+    Changing the kernel text changes the key, so verdicts can never go
+    stale. The cheaper kernel analyses ({!Coalesce_check}, {!Sharing},
+    {!Regcount}) are plain function calls and are not cached here.
 
     When a slot reaches capacity the least-recently-used entry is
     evicted, so hot entries survive long design-space explorations. *)
 
-(** The analyses a fired pass can carry forward — the vocabulary passes
-    use to declare invalidations. The verifier's verdict is not one: the
-    pipeline verifies only its input and final kernel, so no
-    intermediate verdict exists to carry. *)
-type kind =
-  | Affine  (** the affine access table: {!Coalesce_check.analyze_kernel} *)
-  | Sharing  (** inter-block data sharing: {!Sharing.analyze} *)
-  | Coalesce  (** the all-accesses-coalesced verdict *)
-  | Regcount  (** registers/thread and shared bytes/block: {!Regcount} *)
-
-val all_kinds : kind list
-val kind_name : kind -> string
-
 type t
 
 val default_capacity : int
-(** 512 entries per analysis slot. *)
+(** 512 entries per slot (verdicts; symbolic proofs). *)
 
 val create : ?capacity:int -> unit -> t
-val capacity : t -> int
-
-val length : t -> int
-(** Total entries currently cached, across every slot. *)
 
 val hits : t -> int
+(** Lookups answered from this instance's memory (verdicts and symbolic
+    proofs). *)
+
 val misses : t -> int
 
 val global_hits : unit -> int
@@ -59,48 +41,20 @@ val global_verify_wall_clock_s : unit -> float
     domain. *)
 
 val key : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> string
-(** Digest of the printed kernel at the launch — the cache key of the
-    launch-dependent slots. *)
+(** Digest of the printed kernel at the launch — the verdict key. *)
 
 val kernel_key : Gpcc_ast.Ast.kernel -> string
-(** Launch-independent key ({!regcount}). *)
-
-val accesses :
-  t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
-  Coalesce_check.access list
-(** The affine access table ([Affine] slot). *)
-
-val coalesced : t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel -> bool
-(** Whether every global access is coalesced ([Coalesce] slot). *)
-
-val sharing :
-  t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
-  Sharing.array_sharing list
-(** The data-sharing summary ([Sharing] slot). *)
-
-val regcount : t -> Gpcc_ast.Ast.kernel -> int * int
-(** (registers/thread, shared bytes/block) ([Regcount] slot). *)
+(** Launch-independent key (the symbolic proof's). *)
 
 val verify :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list
-(** The error diagnostics of [Verify.check ~launch k] (verify slot) —
+(** The error diagnostics of [Verify.check ~launch k] —
     the compiler's one verifier entry point. The memoized
     launch-parametric {!Symverify} proof of the kernel text is asked
     first; when it does not prove this launch clean the concrete
     checker runs, so the messages are always the concrete verifier's.
     The verdict persists in the artifact store as a [verdict] entry. *)
-
-val preserve :
-  t ->
-  kinds:kind list ->
-  from_:Gpcc_ast.Ast.kernel * Gpcc_ast.Ast.launch ->
-  to_:Gpcc_ast.Ast.kernel * Gpcc_ast.Ast.launch ->
-  unit
-(** Carry the listed analyses' cached results (when present) from the
-    pre-transform kernel to the post-transform kernel. Called by the
-    pipeline for the analyses a fired pass does {e not} declare
-    invalidated. *)
 
 val domain : unit -> t
 (** The current worker domain's instance (one per domain: exploration

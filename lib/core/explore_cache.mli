@@ -9,9 +9,9 @@
 
     This is a thin typed view over {!Gpcc_util.Store} (the ["score"]
     kind): sharded layout, atomic writes, multi-process locking,
-    corruption/collision recovery and eviction all live there. In front
-    of the store each handle keeps an in-memory memo, so repeated
-    lookups of a hot key never touch the disk. Entries are invalidated
+    corruption/collision recovery and eviction all live there. There is
+    no in-memory tier: a search deduplicates its candidates by kernel
+    digest, so it looks each key up once. Entries are invalidated
     implicitly: keys embed the compiled kernel digest, so any compiler
     change that alters generated code changes the key; stale entries
     age out through the store GC (or {!clear}). *)
@@ -29,18 +29,17 @@ val open_dir : ?dir:string -> unit -> t
 val dir : t -> string
 
 val find : t -> string -> float option
-(** Look the key up, first in the in-memory memo, then in the store.
-    Counts a hit or a miss (on this handle; store-tier lookups also
-    count in the store's global counters). Corrupt entries are deleted
-    and re-measured; digest collisions are kept and reported as a miss
-    (both handled by the store). Thread-safe. *)
+(** Look the key up in the store. Counts a hit or a miss (on this
+    handle, and in the store's global counters). Corrupt entries are
+    deleted and re-measured; digest collisions are kept and reported as
+    a miss (both handled by the store). Thread-safe. *)
 
 val store : t -> string -> float -> unit
-(** Persist a score for a key (atomic write through the store; also
-    memoized in memory). Thread-safe. *)
+(** Persist a score for a key (atomic write through the store).
+    Thread-safe. *)
 
 val hits : t -> int
-(** Number of [find]s answered from memo or store since [open_dir]. *)
+(** Number of [find]s answered from the store since [open_dir]. *)
 
 val misses : t -> int
 (** Number of [find]s that found nothing since [open_dir]. *)
@@ -53,5 +52,5 @@ val gc : t -> Gpcc_util.Store.gc_stats
     [$GPCC_CACHE_MAX_MB]). *)
 
 val clear : t -> unit
-(** Delete every score entry and reset the in-memory memo (counters
-    are kept; other artifact kinds in the same store are untouched). *)
+(** Delete every score entry (counters are kept; other artifact kinds
+    in the same store are untouched). *)

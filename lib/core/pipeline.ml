@@ -15,12 +15,11 @@
     Figure-12 instrumentation, the design-space exploration and the
     bench harness — consumes the same value instead of re-plumbing
     boolean options. The driver is generic over the pass records: it
-    times each sub-step, records a structured {!Remark.t} per step,
-    carries the analyses a pass declares preserved forward in the
-    per-domain {!Gpcc_analysis.Analysis_cache}, and translation-validates
-    the input and the final kernel. The fired steps are re-checked, in
-    order, only to blame a rejection on the first pass whose output the
-    verifier rejects.
+    times each sub-step, records a structured {!Remark.t} per step, and
+    translation-validates the input and the final kernel through the
+    per-domain verdict cache ({!Gpcc_analysis.Analysis_cache}). The
+    fired steps are re-checked, in order, only to blame a rejection on
+    the first pass whose output the verifier rejects.
 
     Note on ordering: the paper runs prefetching before partition-camping
     elimination; we run camping elimination first because the 1-D
@@ -117,14 +116,7 @@ let describe (t : t) : string =
       Buffer.add_string buf
         (Printf.sprintf "  [%c] %-18s §%-8s %s\n"
            (if s.sp_enabled then 'x' else ' ')
-           p.Pass.name p.Pass.section p.Pass.summary);
-      let kinds ks = String.concat "," (List.map Cache.kind_name ks) in
-      if p.Pass.uses <> [] || p.Pass.invalidates <> [] then
-        Buffer.add_string buf
-          (Printf.sprintf "      uses: %-28s invalidates: %s\n"
-             (if p.Pass.uses = [] then "-" else kinds p.Pass.uses)
-             (if p.Pass.invalidates = [] then "-"
-              else kinds p.Pass.invalidates)))
+           p.Pass.name p.Pass.section p.Pass.summary))
     t.specs;
   Buffer.contents buf
 
@@ -202,7 +194,7 @@ let rejected (name : string) (errs : Gpcc_analysis.Verify.diagnostic list) :
        (String.concat "; " (List.map Gpcc_analysis.Verify.to_string errs)))
 
 (** Validate a kernel; errors blame [name]. Verdicts are memoized in
-    the per-domain analysis cache and the artifact store. *)
+    the per-domain verdict cache and the artifact store. *)
 let validate ~(verify : bool) (cache : Cache.t) (name : string)
     (k : Ast.kernel) (launch : Ast.launch) : unit =
   if verify then
@@ -228,7 +220,6 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
       Pass.cfg = pipeline.cfg;
       target_block_threads = pipeline.target_block_threads;
       merge_degree = pipeline.merge_degree;
-      cache;
     }
   in
   let steps = ref [] in
@@ -267,19 +258,15 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
           (* one recorded, timed sub-step; [k0]/[l0] is the sub-step's
              input state (multi-step passes thread their own) *)
           let emit label k0 l0 f =
-            let before_m = Remark.metrics cache k0 l0 in
+            let before_m = Remark.metrics k0 l0 in
             let t0 = Unix.gettimeofday () in
             let o : Pass_util.outcome = f k0 l0 in
             let duration_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
             note_timing p.Pass.name duration_ms;
-            if o.fired then begin
+            if o.fired then
               fired_steps := (label, o.kernel, o.launch) :: !fired_steps;
-              Cache.preserve cache ~kinds:(Pass.preserved p) ~from_:(k0, l0)
-                ~to_:(o.kernel, o.launch)
-            end;
             let after_m =
-              if o.fired then Remark.metrics cache o.kernel o.launch
-              else before_m
+              if o.fired then Remark.metrics o.kernel o.launch else before_m
             in
             let reason =
               match o.notes with
@@ -292,7 +279,7 @@ let run ?(pipeline = default ()) (naive : Ast.kernel) : result =
           in
           match p.Pass.applies ctx !k !l with
           | Pass.Declined reason ->
-              let m = Remark.metrics cache !k !l in
+              let m = Remark.metrics !k !l in
               record p p.Pass.label ~fired:false ~reason ~notes:[ reason ]
                 ~before_m:m ~after_m:m ~duration_ms:0.0 ~kernel:!k ~launch:!l
           | Pass.Applies ->

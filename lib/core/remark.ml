@@ -9,7 +9,6 @@
     bench JSON output. *)
 
 open Gpcc_ast
-module Cache = Gpcc_analysis.Analysis_cache
 
 (** Kernel-shape metrics at a pipeline point. *)
 type metrics = {
@@ -32,12 +31,10 @@ type t = {
   duration_ms : float;
 }
 
-let metrics (cache : Cache.t) (k : Ast.kernel) (launch : Ast.launch) : metrics
-    =
-  let regs, shared_bytes = Cache.regcount cache k in
+let metrics (k : Ast.kernel) (launch : Ast.launch) : metrics =
   {
-    regs;
-    shared_bytes;
+    regs = Gpcc_analysis.Regcount.estimate k;
+    shared_bytes = Gpcc_analysis.Regcount.shared_bytes k;
     threads_per_block = launch.Ast.block_x * launch.Ast.block_y;
     grid = (launch.Ast.grid_x, launch.Ast.grid_y);
     block = (launch.Ast.block_x, launch.Ast.block_y);

@@ -24,13 +24,9 @@ type t = {
   duration_ms : float;
 }
 
-val metrics :
-  Gpcc_analysis.Analysis_cache.t ->
-  Gpcc_ast.Ast.kernel ->
-  Gpcc_ast.Ast.launch ->
-  metrics
-(** Measure a pipeline point (register/shared estimates served from the
-    analysis cache). *)
+val metrics : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> metrics
+(** Measure a pipeline point ({!Gpcc_analysis.Regcount}'s register and
+    shared-memory estimates, plus the launch shape). *)
 
 val escape : string -> string
 (** JSON string escaping (shared with {!Pipeline.remarks_json}). *)

@@ -2,31 +2,21 @@
 
     Each pass of the paper's Figure 1 pipeline is a {!t} record: a
     stable name, the paper section it implements, an [applies] predicate
-    (which may consult cached analyses and explains a refusal), the
-    [transform] itself, and the pass's declared analysis dependencies
-    ([uses]) and invalidations ([invalidates]). The pipeline driver in
-    {!Gpcc_core.Pipeline} is generic over this record: it owns timing,
-    translation validation, remark recording and analysis-cache
-    bookkeeping, while the pass owns the decision logic — including the
-    Section 3.5.3 merge-selection heuristics, which previously lived
-    inline in the compiler driver.
-
-    [invalidates] lists the analyses a {e fired} transform may change;
-    everything else is carried forward in the {!Gpcc_analysis.Analysis_cache}
-    to the transformed kernel without recomputation. Declarations are
-    property-tested: a preserved analysis recomputed on the transformed
-    kernel must equal the carried value. *)
+    (which explains a refusal) and the [transform] itself. The pipeline
+    driver in {!Gpcc_core.Pipeline} is generic over this record: it owns
+    timing, translation validation and remark recording, while the pass
+    owns the decision logic — including the Section 3.5.3
+    merge-selection heuristics. The analyses a pass consults (coalescing,
+    data sharing, register pressure) are plain calls on the kernel. *)
 
 open Gpcc_ast
-module Cache = Gpcc_analysis.Analysis_cache
 
-(** Per-compilation context a pass sees: the target machine, the two
-    Section-4 knobs, and the analysis cache. *)
+(** Per-compilation context a pass sees: the target machine and the two
+    Section-4 knobs. *)
 type ctx = {
   cfg : Gpcc_sim.Config.t;
   target_block_threads : int;  (** 128 / 256 / 512 (Section 4.1) *)
   merge_degree : int;  (** threads merged into one: 4 / 8 / 16 / 32 *)
-  cache : Cache.t;
 }
 
 (** Outcome of [applies]: run the transform, or skip it with a reason
@@ -37,9 +27,8 @@ type decision =
 
 (** Provided by the pipeline driver to [transform]: [emit label k l f]
     runs [f k l] as one recorded sub-step — timed, kept for blaming a
-    translation-validation failure when it fires, cache bookkeeping
-    applied — and returns its outcome. Multi-step passes (merge) call it
-    once per sub-transform. *)
+    translation-validation failure when it fires — and returns its
+    outcome. Multi-step passes (merge) call it once per sub-transform. *)
 type emit =
   string ->
   Ast.kernel ->
@@ -52,16 +41,9 @@ type t = {
   label : string;  (** default human step label, e.g. ["vectorization"] *)
   section : string;  (** paper section implemented *)
   summary : string;  (** one line for [--print-pipeline] *)
-  uses : Cache.kind list;  (** analyses consulted (served from the cache) *)
-  invalidates : Cache.kind list;
-      (** analyses a fired transform may change; the rest are carried
-          forward to the transformed kernel *)
   applies : ctx -> Ast.kernel -> Ast.launch -> decision;
   transform : ctx -> emit -> Ast.kernel -> Ast.launch -> Ast.kernel * Ast.launch;
 }
-
-let preserved (p : t) : Cache.kind list =
-  List.filter (fun k -> not (List.mem k p.invalidates)) Cache.all_kinds
 
 let always _ _ _ = Applies
 
@@ -82,8 +64,6 @@ let vectorize_wide : t =
     summary =
       "absorb neighboring work items into float2/float4 accesses \
        (AMD-style aggressive vectorization)";
-    uses = [];
-    invalidates = Cache.all_kinds;
     applies =
       (fun ctx _ _ ->
         if ctx.cfg.Gpcc_sim.Config.prefer_wide_vectors then Applies
@@ -101,8 +81,6 @@ let vectorize : t =
     label = "vectorization";
     section = "3.1";
     summary = "pair adjacent loads into float2 accesses";
-    uses = [];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform = (fun _ctx emit k l -> single "vectorization" Vectorize.apply emit k l);
   }
@@ -117,8 +95,6 @@ let coalesce : t =
     summary =
       "stage non-coalesced global accesses through shared memory \
        (loop/row/apron staging, idx/idy exchange)";
-    uses = [ Cache.Affine; Cache.Coalesce ];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform =
       (fun _ctx emit k l -> single "memory coalescing" Coalesce.apply emit k l);
@@ -126,15 +102,15 @@ let coalesce : t =
 
 (* --- Section 3.5: thread-block merge and thread merge --- *)
 
-(* The Section 3.5.3 selection heuristics, over the cached Section 3.4
+(* The Section 3.5.3 selection heuristics, over the Section 3.4
    sharing analysis: sharing caused by a global-to-shared access prefers
    thread-block merge (shared-memory reuse); sharing caused by a
    global-to-register access prefers thread merge (register reuse); and
    blocks that end up with too few threads are grown by thread-block
    merge even without sharing. *)
 
-let sharing_facts ctx (k : Ast.kernel) (launch : Ast.launch) =
-  let sharing = Cache.sharing ctx.cache ~launch k in
+let sharing_facts (k : Ast.kernel) (launch : Ast.launch) =
+  let sharing = Gpcc_analysis.Sharing.analyze ~launch k in
   let share_y_g2r =
     List.exists
       (fun s ->
@@ -162,11 +138,9 @@ let merge : t =
     summary =
       "grow blocks by thread-block merge and aggregate work items by \
        thread merge, selected per the Section 3.5.3 sharing rules";
-    uses = [ Cache.Sharing ];
-    invalidates = Cache.all_kinds;
     applies =
       (fun ctx k launch ->
-        let _, share_y_g2r, share_y_g2s = sharing_facts ctx k launch in
+        let _, share_y_g2r, share_y_g2s = sharing_facts k launch in
         let bm =
           ctx.target_block_threads
           / max 1 (launch.Ast.block_x * launch.Ast.block_y)
@@ -183,7 +157,7 @@ let merge : t =
     transform =
       (fun ctx emit k launch ->
         let share_x_any, share_y_g2r, share_y_g2s =
-          sharing_facts ctx k launch
+          sharing_facts k launch
         in
         let k = ref k and launch = ref launch in
         (* 1. thread-block merge along X: grow the block toward the target
@@ -267,13 +241,6 @@ let licm : t =
     summary =
       "hoist loop-invariant thread-position arithmetic replicated by the \
        merges";
-    uses = [];
-    (* Hoisting only rebinds integer address arithmetic to names the
-       affine machinery resolves, so the data-sharing summary and the
-       coalescing verdict survive; the access table (whose contexts
-       record the new bindings) and register pressure do not.
-       Property-tested in test_pipeline. *)
-    invalidates = [ Cache.Affine; Cache.Regcount ];
     applies = always;
     transform =
       (fun _ctx emit k l -> single "invariant hoisting" Licm.apply emit k l);
@@ -289,8 +256,6 @@ let partition_camp : t =
     summary =
       "rotate 1-D sweeps / diagonally reorder 2-D grids whose block \
        stride camps on one memory partition";
-    uses = [ Cache.Affine ];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform =
       (fun ctx emit k l ->
@@ -309,8 +274,6 @@ let prefetch : t =
     summary =
       "double-buffer global-to-shared loads through a register unless \
        the extra registers cost occupancy";
-    uses = [ Cache.Regcount ];
-    invalidates = Cache.all_kinds;
     applies = always;
     transform =
       (fun ctx emit k l ->

@@ -1,16 +1,13 @@
 (** First-class optimization passes: each Figure-1 pipeline stage as a
-    record — name, paper section, [applies]/[transform], declared
-    analysis dependencies and invalidations — consumed generically by
-    the {!Gpcc_core.Pipeline} driver. *)
-
-module Cache = Gpcc_analysis.Analysis_cache
+    record — name, paper section, [applies]/[transform] — consumed
+    generically by the {!Gpcc_core.Pipeline} driver. The analyses a
+    pass consults are plain calls on the kernel. *)
 
 (** Per-compilation context a pass sees. *)
 type ctx = {
   cfg : Gpcc_sim.Config.t;  (** target machine description *)
   target_block_threads : int;  (** 128 / 256 / 512 (Section 4.1) *)
   merge_degree : int;  (** threads merged into one: 4 / 8 / 16 / 32 *)
-  cache : Cache.t;  (** memoized analyses *)
 }
 
 (** Outcome of [applies]: run the transform, or skip with a recorded
@@ -21,8 +18,8 @@ type decision =
 
 (** Provided by the pipeline driver: [emit label k l f] runs [f k l] as
     one recorded sub-step (timed, kept for blaming a
-    translation-validation failure when it fires, analysis-cache
-    bookkeeping applied) and returns its outcome. *)
+    translation-validation failure when it fires) and returns its
+    outcome. *)
 type emit =
   string ->
   Gpcc_ast.Ast.kernel ->
@@ -35,10 +32,6 @@ type t = {
   label : string;  (** default human step label *)
   section : string;  (** paper section implemented *)
   summary : string;  (** one line for [--print-pipeline] *)
-  uses : Cache.kind list;  (** analyses consulted (served from the cache) *)
-  invalidates : Cache.kind list;
-      (** analyses a fired transform may change; the rest are carried
-          forward to the transformed kernel by the driver *)
   applies : ctx -> Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> decision;
   transform :
     ctx ->
@@ -47,10 +40,6 @@ type t = {
     Gpcc_ast.Ast.launch ->
     Gpcc_ast.Ast.kernel * Gpcc_ast.Ast.launch;
 }
-
-val preserved : t -> Cache.kind list
-(** The complement of [invalidates]: analyses carried forward when the
-    pass fires. *)
 
 (** The individual passes (see each one's [summary]). *)
 

@@ -164,7 +164,7 @@ let test_cache_roundtrip () =
   Gpcc_core.Explore_cache.store c "k1" 123.456;
   Gpcc_core.Explore_cache.store c "k2" Float.neg_infinity;
   Alcotest.(check (option (float 1e-12)))
-    "memo hit" (Some 123.456)
+    "store hit" (Some 123.456)
     (Gpcc_core.Explore_cache.find c "k1");
   (* a fresh handle on the same directory reads from disk *)
   let c2 = Gpcc_core.Explore_cache.open_dir ~dir () in
@@ -290,8 +290,7 @@ let test_funnel_provenance () =
 let test_funnel_warm_cache () =
   let dir = fresh_cache_dir () in
   let run () =
-    (* a fresh handle each time: warm must hit the disk, not a
-       previous handle's in-memory memo *)
+    (* a fresh handle each time, so the warm run's counters are its own *)
     let cache = Gpcc_core.Explore_cache.open_dir ~dir () in
     let r = funnel_search ~jobs:1 ~cache ~cache_prefix:"t/mm/64" "mm" 64 in
     (r, cache)
@@ -380,7 +379,6 @@ let test_cache_corrupt_entry () =
     close_out oc
   in
   let check_dropped what =
-    (* a fresh handle, so the in-memory memo cannot mask the disk *)
     let c2 = Gpcc_core.Explore_cache.open_dir ~dir () in
     Alcotest.(check (option (float 0.)))
       (what ^ " reads as a miss") None

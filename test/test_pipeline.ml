@@ -1,15 +1,12 @@
-(** The pass-manager layer: declarative pipelines, the cached analysis
-    manager, per-pass remarks, and the deprecated options facade.
+(** The pass-manager layer: declarative pipelines, the verdict cache
+    and per-pass remarks.
 
-    - bit-identity: the declarative driver and the legacy boolean-options
-      facade produce byte-identical optimized kernels and launches for
-      every registry workload, and repeated (analysis-cache-warm) runs
-      change nothing;
+    - bit-identity: repeated (verdict-cache-warm) runs of the driver
+      produce byte-identical optimized kernels and launches for every
+      registry workload;
     - staged: the single-instrumented-run Figure-12 prefixes equal the
       old per-prefix recompiles;
-    - a property test that every registered pass declares its analysis
-      invalidations soundly;
-    - bounded LRU eviction of the analysis cache (hot entries survive);
+    - bounded LRU eviction of the verdict cache (hot entries survive);
     - the verifier entry point: [Analysis_cache.verify] answers the
       concrete checker's errors, computed cold and served from the
       store, and recovers from corrupt store entries;
@@ -40,7 +37,7 @@ let test_bit_identity () =
               ~merge_degree:degree ()
           in
           let r = Pipeline.run ~pipeline k in
-          (* a second, analysis-cache-warm run is byte-identical *)
+          (* a second, verdict-cache-warm run is byte-identical *)
           let r2 = Pipeline.run ~pipeline k in
           Alcotest.(check string)
             (Printf.sprintf "%s (%d,%d): warm rerun" w.name target degree)
@@ -102,83 +99,6 @@ let test_staged_matches_prefix_recompiles () =
         prefixes staged)
     [ "mm"; "tp" ]
 
-(* --- property: every pass declares its invalidations soundly --- *)
-
-(* Thread each workload through the registry passes by hand, carrying
-   the analyses each pass declares preserved; after every fired
-   sub-step, a carried analysis must equal a fresh recomputation on the
-   transformed kernel. An unsound [invalidates] declaration (a pass
-   that changes an analysis it claims to preserve) fails here. *)
-let test_invalidation_declarations_sound () =
-  List.iter
-    (fun name ->
-      let w = Registry.find_exn name in
-      let naive = Workload.parse w w.test_size in
-      let cache = Cache.create () in
-      let ctx =
-        { Pass.cfg = cfg280; target_block_threads = 128; merge_degree = 4;
-          cache }
-      in
-      let launch =
-        Option.get (Gpcc_passes.Pass_util.initial_launch naive)
-      in
-      let prime k l =
-        ignore (Cache.accesses cache ~launch:l k);
-        ignore (Cache.coalesced cache ~launch:l k);
-        ignore (Cache.sharing cache ~launch:l k);
-        ignore (Cache.regcount cache k);
-        ignore (Cache.verify cache ~launch:l k)
-      in
-      let check_preserved pass step (k : Gpcc_ast.Ast.kernel) l =
-        List.iter
-          (fun kind ->
-            let ok =
-              match kind with
-              | Cache.Affine ->
-                  Cache.accesses cache ~launch:l k
-                  = Gpcc_analysis.Coalesce_check.analyze_kernel ~launch:l k
-              | Cache.Coalesce ->
-                  Cache.coalesced cache ~launch:l k
-                  = Gpcc_analysis.Coalesce_check.all_coalesced
-                      (Gpcc_analysis.Coalesce_check.analyze_kernel ~launch:l
-                         k)
-              | Cache.Sharing ->
-                  Cache.sharing cache ~launch:l k
-                  = Gpcc_analysis.Sharing.analyze ~launch:l k
-              | Cache.Regcount ->
-                  Cache.regcount cache k
-                  = ( Gpcc_analysis.Regcount.estimate k,
-                      Gpcc_analysis.Regcount.shared_bytes k )
-            in
-            if not ok then
-              Alcotest.failf
-                "%s: pass %s (step %S) declares it preserves %s but the \
-                 carried value differs from a fresh recomputation"
-                name pass step (Cache.kind_name kind))
-          (Pass.preserved (Option.get (Pass.find pass)))
-      in
-      let k = ref naive and l = ref launch in
-      List.iter
-        (fun (p : Pass.t) ->
-          match p.applies ctx !k !l with
-          | Pass.Declined _ -> ()
-          | Pass.Applies ->
-              let emit step k0 l0 f =
-                prime k0 l0;
-                let o : Gpcc_passes.Pass_util.outcome = f k0 l0 in
-                if o.fired then begin
-                  Cache.preserve cache ~kinds:(Pass.preserved p)
-                    ~from_:(k0, l0) ~to_:(o.kernel, o.launch);
-                  check_preserved p.name step o.kernel o.launch
-                end;
-                o
-              in
-              let k', l' = p.transform ctx emit !k !l in
-              k := k';
-              l := l')
-        Pass.registry)
-    [ "mm"; "mv"; "tp"; "vv"; "rd" ]
-
 (* --- bounded LRU eviction: hot entries survive past capacity --- *)
 
 let test_lru_eviction_keeps_hot_entries () =
@@ -192,7 +112,13 @@ __kernel void k%d(float a[64], float o[64], int n) {
          i i)
   in
   let cache = Cache.create ~capacity:4 () in
-  let touch i = ignore (Cache.regcount cache (kernel i)) in
+  let launch = { Gpcc_ast.Ast.grid_x = 4; grid_y = 1; block_x = 16; block_y = 1 } in
+  let touch i =
+    Alcotest.(check int)
+      (Printf.sprintf "kernel %d verifies clean" i)
+      0
+      (List.length (Cache.verify cache ~launch (kernel i)))
+  in
   touch 1;
   (* churn five cold entries through a capacity-4 slot, re-touching
      entry 1 after each insertion so it stays the hottest *)
@@ -205,10 +131,12 @@ __kernel void k%d(float a[64], float o[64], int n) {
   touch 1;
   Alcotest.(check int)
     "hot entry survived the churn" (hits_before + 1) (Cache.hits cache);
-  let misses_before = Cache.misses cache in
+  let hits_before = Cache.hits cache and misses_before = Cache.misses cache in
   touch 2;
-  Alcotest.(check int)
-    "cold entry was evicted" (misses_before + 1) (Cache.misses cache)
+  Alcotest.(check int) "cold entry was evicted" hits_before (Cache.hits cache);
+  Alcotest.(check bool)
+    "cold entry recomputed" true
+    (Cache.misses cache > misses_before)
 
 (* --- verifier verdicts survive the on-disk round trip --- *)
 
@@ -451,9 +379,8 @@ let synthetic name (rewrite : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.kernel) :
   in
   {
     Pipeline.sp_pass =
-      { Pass.name; label = name; section = "-"; summary = name; uses = [];
-        invalidates = Cache.all_kinds; applies = (fun _ _ _ -> Pass.Applies);
-        transform };
+      { Pass.name; label = name; section = "-"; summary = name;
+        applies = (fun _ _ _ -> Pass.Applies); transform };
     sp_enabled = true;
   }
 
@@ -493,7 +420,7 @@ let test_repaired_step_compiles () =
 
 (* A clean compile computes two verdicts, the input's and the final
    kernel's, however many steps fire. Run on a fresh domain, so its
-   analysis cache is empty, after dropping the stored verdicts. *)
+   verdict cache is empty, after dropping the stored verdicts. *)
 let test_clean_compile_verifies_twice () =
   let w = Registry.find_exn "mm" in
   let k = Workload.parse w w.test_size in
@@ -569,7 +496,7 @@ let test_pipeline_surgery () =
   let descr = Pipeline.describe disabled in
   List.iter
     (assert_contains "describe" descr)
-    [ "merge"; "3.5"; "invalidates" ]
+    [ "merge"; "3.5" ]
 
 let suite =
   ( "pipeline",
@@ -577,8 +504,6 @@ let suite =
       Alcotest.test_case "bit-identity: cold == warm" `Slow test_bit_identity;
       Alcotest.test_case "staged == per-prefix recompiles (mm, tp)" `Quick
         test_staged_matches_prefix_recompiles;
-      Alcotest.test_case "pass invalidation declarations are sound" `Quick
-        test_invalidation_declarations_sound;
       Alcotest.test_case "analysis cache: LRU keeps hot entries" `Quick
         test_lru_eviction_keeps_hot_entries;
       Alcotest.test_case "verifier verdicts: disk round trip" `Quick
