@@ -959,6 +959,7 @@ let explore () =
             ("partial_runs", Json_out.Int stats.f_partial_runs);
             ("fully_measured", Json_out.Int stats.f_measured);
             ("spearman", Json_out.Float stats.f_spearman);
+            ("spearman_n", Json_out.Int stats.f_spearman_n);
             ("exhaustive_wall_s", Json_out.Float ex_s);
             ("funnel_cold_wall_s", Json_out.Float cold_s);
             ("funnel_warm_wall_s", Json_out.Float warm_s);

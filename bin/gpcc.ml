@@ -274,9 +274,10 @@ let explore_cmd =
             Printf.eprintf
               "funnel: %d configs, %d distinct, %d pruned by the model, %d \
                halving rungs (%d partial runs), %d fully measured, spearman \
-               %.2f\n"
+               %.2f (n=%d)\n"
               stats.f_configs stats.f_distinct stats.f_pruned stats.f_rungs
-              stats.f_partial_runs stats.f_measured stats.f_spearman;
+              stats.f_partial_runs stats.f_measured stats.f_spearman
+              stats.f_spearman_n;
             (cands, failures)
           end
         in

@@ -43,9 +43,6 @@ val global_verify_wall_clock_s : unit -> float
 val key : Gpcc_ast.Ast.kernel -> Gpcc_ast.Ast.launch -> string
 (** Digest of the printed kernel at the launch — the verdict key. *)
 
-val kernel_key : Gpcc_ast.Ast.kernel -> string
-(** Launch-independent key (the symbolic proof's). *)
-
 val verify :
   t -> launch:Gpcc_ast.Ast.launch -> Gpcc_ast.Ast.kernel ->
   Verify.diagnostic list

@@ -10,6 +10,11 @@
     interval reasoning over {e launch polynomials} — polynomials in the
     four launch dimensions that bound every index expression.
 
+    Both tiers read one {!Walk} of the kernel: its access records,
+    guards, loop frames, barrier intervals and barrier classification.
+    This module owns only the value domain, lowering those records to
+    launch-parametric forms after the walk.
+
     The verdict is parametric:
     - [Proved]: no error diagnostic at {e any} launch configuration;
     - [Proved_when c]: no error at launches satisfying the constraint
@@ -63,8 +68,6 @@ module Constraint = struct
   (** A conjunction of atoms. [[]] is the trivial constraint (true at
       every launch). *)
   type t = atom list
-
-  let tt : t = []
 
   let mono_value (l : Ast.launch) (m : mono) : int =
     List.fold_left
@@ -297,8 +300,8 @@ let coverage (c : Constraint.t) : int =
 
 (** Values lie in [[lo, hi]] (polynomial bounds, valid at every launch)
     and are congruent modulo [st] to some value (the congruence anchor
-    is only tracked when the low bound is constant, mirroring
-    {!Verify.si}'s use of [lo] as the anchor). [st = 0] marks a
+    is only tracked when the low bound is constant, as the concrete
+    tier's strided intervals anchor at [lo]). [st = 0] marks a
     singleton-or-unknown stride; treat as 1 for arithmetic. *)
 type lrange = {
   rlo : lpoly;
@@ -348,7 +351,7 @@ let lr_mod (a : lrange) (c : int) : lrange =
   else
     match (lp_is_const a.rlo, lp_is_const a.rhi) with
     | Some lo, Some hi ->
-        (* constant bounds: mirror Verify.si_mod exactly *)
+        (* constant bounds: exactly the concrete tier's strided mod *)
         if lo >= 0 && hi <= c - 1 then a
         else
           let g = max 1 (gcd a.rst c) in
@@ -366,7 +369,7 @@ let lr_div (a : lrange) (c : int) : lrange option =
   if c <= 0 then None
   else
     let lo =
-      (* truncating division is monotone, mirroring {!Verify.si_div} *)
+      (* truncating division is monotone, as in the concrete tier *)
       match lp_is_const a.rlo with
       | Some lo -> Some (lp_const (lo / c))
       | None -> if lp_nonneg a.rlo then Some lp_zero else None
@@ -454,7 +457,7 @@ let sf_is_const (a : sform) : lpoly option =
   if a.sterms = [] then Some a.sc else None
 
 (* ------------------------------------------------------------------ *)
-(* Walk state and environments                                          *)
+(* Lowered values and proof state                                       *)
 (* ------------------------------------------------------------------ *)
 
 (** Lowered value of an integer expression.
@@ -473,56 +476,9 @@ type sval =
   | Rng of lrange option
   | Opq
 
-(** A scalar binding recorded by the walk, mirroring {!Verify.binding}:
-    the defining expression lowers in the binding-list suffix that was
-    live at the definition. *)
-type sbind =
-  | SBexpr of Ast.expr
-  | SBopaque
-
-(** One enclosing loop frame. [fr_value] is the loop variable's value
-    for this pass (init + step * counter, plus one step on the
-    wrap-around pass); the counter variable's recorded range bounds the
-    variable across all iterations (mirroring {!Verify.renv_of_acc}:
-    values stay within [init.lo .. limit.hi - 1]). *)
-type sframe = {
-  fr_var : string;
-  fr_frozen : bool;
-  fr_tdep : bool;  (** any loop bound is thread-dependent *)
-  fr_value : sval;
-}
-
-type sguard = {
-  sg_cond : Ast.expr;
-  sg_binds : (string * sbind) list;
-  sg_frames : sframe list;
-}
-
-type sacc = {
-  x_arr : string;
-  x_space : [ `Shared | `Global ];
-  x_kind : [ `Sc of Ast.expr list | `Vec of int * Ast.expr ];
-  x_store : bool;
-  x_interval : int;
-  x_frames : sframe list;  (** innermost first *)
-  x_guards : sguard list;
-  x_binds : (string * sbind) list;
-  x_path : string;
-}
-
-type senv = {
-  s_binds : (string * sbind) list;
-  s_frames : sframe list;  (** innermost first *)
-  s_guards : sguard list;
-  s_div_hard : bool;
-      (** under control flow thread-dependent with certainty at every
-          launch (no empirical uniform-trip escape applies) *)
-  s_div_soft : bool;
-      (** under a frozen thread-dependent loop whose divergence verdict
-          is launch-dependent ({!Verify.uniform_trip_count}) *)
-  s_path : string list;  (** reversed segments *)
-  s_frozen_depth : int;
-}
+(** Loop variables in scope with their lowered values, innermost first
+    (see {!lower_frames}). *)
+type sframes = (string * sval) list
 
 (** A violation that certainly reproduces under its constraint: the
     concrete verifier reports [v_rule] at every launch satisfying
@@ -535,31 +491,16 @@ type violation = {
 }
 
 type sstate = {
-  st_kernel : string;
   st_sizes : (string * int) list;
-  mutable st_interval : int;
-  mutable st_accs : sacc list;
   mutable st_violations : violation list;
   mutable st_unknown : string option;  (** first reason the proof gave up *)
-  mutable st_next_id : int;
-  mutable st_ranges : (int * lrange) list;  (** Sfree/Sfrozen/Sopaque ids *)
+  mutable st_ranges : (int * lrange) list;  (** Sfree/Sfrozen ids *)
+  st_frames : (int * int, sframes) Hashtbl.t;
+      (** lowered frame lists by innermost (loop id, pass) *)
 }
 
 let give_up st reason =
   if st.st_unknown = None then st.st_unknown <- Some reason
-
-let fresh_var st (range : lrange option) : int =
-  let id = st.st_next_id in
-  st.st_next_id <- id + 1;
-  (match range with
-  | Some r -> st.st_ranges <- (id, r) :: st.st_ranges
-  | None -> ());
-  id
-
-let rec assoc_split name = function
-  | [] -> None
-  | (n, b) :: rest ->
-      if String.equal n name then Some (b, rest) else assoc_split name rest
 
 (* ------------------------------------------------------------------ *)
 (* Lowering expressions to symbolic values                              *)
@@ -617,11 +558,12 @@ let const_of (v : sval) : int option =
   | _ -> None
 
 (** Lower an integer expression under a binding list and loop frames.
-    Mirrors the operator semantics of {!Verify.eval_int} (mathematical
-    mod, truncating div, min/max calls, short-circuit booleans) so
-    every value the concrete evaluator can compute is covered. *)
-let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
-    (e : Ast.expr) : sval =
+    The operator semantics are {!Verify}'s concrete evaluator's
+    (mathematical mod, truncating div, min/max calls, short-circuit
+    booleans), so every value the concrete evaluator can compute is
+    covered. *)
+let rec lower st ~(binds : Walk.binds) ~(frames : sframes) (e : Ast.expr) :
+    sval =
   match e with
   | Int_lit n -> Aff (sf_int n)
   | Float_lit _ -> Opq
@@ -640,12 +582,13 @@ let rec lower st ~(binds : (string * sbind) list) ~(frames : sframe list)
       | Idy ->
           Aff (sf_add (sf_var ~coeff:(lp_dim Constraint.By) Sbidy) (sf_var Stidy)))
   | Var v -> (
-      match List.find_opt (fun f -> String.equal f.fr_var v) frames with
-      | Some f -> f.fr_value
+      match List.assoc_opt v frames with
+      | Some value -> value
       | None -> (
-          match assoc_split v binds with
-          | Some (SBexpr e', rest) -> lower st ~binds:rest ~frames e'
-          | Some (SBopaque, _) -> Opq
+          match Walk.assoc_split v binds with
+          | Some (Bexpr e', rest) -> lower st ~binds:rest ~frames e'
+          | Some (Bval n, _) -> Aff (sf_int n)
+          | Some (Bunknown, _) -> Opq
           | None -> (
               match List.assoc_opt v st.st_sizes with
               | Some n -> Aff (sf_int n)
@@ -795,112 +738,25 @@ and max_range st ~binds ~frames a b =
   | _ -> Rng None
 
 (* ------------------------------------------------------------------ *)
-(* The symbolic walk (mirrors the structure of {!Verify}'s walk)        *)
+(* Lowering loop frames                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
-let path_of env = String.concat "/" (List.rev env.s_path)
-
-(** Syntactic thread dependence, mirroring {!Verify.thread_dep}:
-    opaque bindings count, loop variables count when the loop's bounds
-    do (recorded per frame at loop entry). *)
-let rec sthread_dep (binds : (string * sbind) list) (frames : (string * bool) list)
-    (e : Ast.expr) : bool =
-  match e with
-  | Builtin (Idx | Idy | Tidx | Tidy) -> true
-  | Builtin _ | Int_lit _ | Float_lit _ -> false
-  | Var v -> (
-      match assoc_split v binds with
-      | Some (SBexpr e', rest) -> sthread_dep rest frames e'
-      | Some (SBopaque, _) -> true
-      | None -> (
-          match List.assoc_opt v frames with Some d -> d | None -> false))
-  | Index _ | Vload _ -> true
-  | Unop (_, a) | Field (a, _) -> sthread_dep binds frames a
-  | Binop (_, a, b) -> sthread_dep binds frames a || sthread_dep binds frames b
-  | Call (_, args) -> List.exists (sthread_dep binds frames) args
-  | Select (a, b, c) ->
-      sthread_dep binds frames a || sthread_dep binds frames b
-      || sthread_dep binds frames c
-
-let rec block_has_sync b = List.exists stmt_has_sync b
-
-and stmt_has_sync = function
-  | Ast.Sync | Global_sync -> true
-  | If (_, t, f) -> block_has_sync t || block_has_sync f
-  | For l -> block_has_sync l.l_body
-  | Decl _ | Assign _ | Comment _ -> false
-
-let rec assigned_vars b = List.concat_map assigned_vars_stmt b
-
-and assigned_vars_stmt = function
-  | Ast.Decl d -> [ d.d_name ]
-  | Assign (Lvar v, _) | Assign (Lfield (Lvar v, _), _) -> [ v ]
-  | Assign ((Lindex _ | Lvec _ | Lfield _), _) -> []
-  | If (_, t, f) -> assigned_vars t @ assigned_vars f
-  | For l -> l.l_var :: assigned_vars l.l_body
-  | Sync | Global_sync | Comment _ -> []
-
-let frame_tdeps frames = List.map (fun f -> (f.fr_var, f.fr_tdep)) frames
-
-let forget_svars env vars =
-  { env with s_binds = List.map (fun v -> (v, SBopaque)) vars @ env.s_binds }
-
-let violate st ~v_when ~rule ~path message =
-  st.st_violations <-
-    { v_when; v_rule = rule; v_path = path; v_message = message }
-    :: st.st_violations
-
-let srecord_access st env spaces arr kind ~store =
-  match List.assoc_opt arr spaces with
-  | None -> ()
-  | Some space ->
-      st.st_accs <-
-        {
-          x_arr = arr;
-          x_space = space;
-          x_kind = kind;
-          x_store = store;
-          x_interval = st.st_interval;
-          x_frames = env.s_frames;
-          x_guards = env.s_guards;
-          x_binds = env.s_binds;
-          x_path = path_of env;
-        }
-        :: st.st_accs
-
-let rec scollect_expr st env spaces (e : Ast.expr) : unit =
-  match e with
-  | Index (arr, idxs) ->
-      srecord_access st env spaces arr (`Sc idxs) ~store:false;
-      List.iter (scollect_expr st env spaces) idxs
-  | Vload { v_arr; v_width; v_index } ->
-      srecord_access st env spaces v_arr (`Vec (v_width, v_index)) ~store:false;
-      scollect_expr st env spaces v_index
-  | Unop (_, a) | Field (a, _) -> scollect_expr st env spaces a
-  | Binop (_, a, b) ->
-      scollect_expr st env spaces a;
-      scollect_expr st env spaces b
-  | Call (_, args) -> List.iter (scollect_expr st env spaces) args
-  | Select (a, b, c) ->
-      scollect_expr st env spaces a;
-      scollect_expr st env spaces b;
-      scollect_expr st env spaces c
-  | Int_lit _ | Float_lit _ | Var _ | Builtin _ -> ()
-
-(** Build the loop frame for one symbolic pass. The loop variable is
-    [init + step * counter] when init lowers to an affine form and the
-    step to a positive constant; the counter variable is block-shared
-    for frozen loops and iteration-private otherwise. Its recorded
+(** The value of a loop variable for one walk pass, given the lowered
+    enclosing loops. It is [init + step * counter] when init lowers to
+    an affine form and the step to a positive constant; the counter
+    variable is the loop id, block-shared for frozen loops and
+    iteration-private otherwise, so both passes of a frozen loop share
+    it and the wrap-around pass adds one step. The counter's recorded
     range over-approximates the trip count (sound for proving: the
-    concrete walk never runs an iteration outside it). *)
-let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
-    =
-  let binds = env.s_binds and frames = env.s_frames in
-  let vi = lower st ~binds ~frames lp.l_init in
-  let vs = lower st ~binds ~frames lp.l_step in
-  let vl = lower st ~binds ~frames lp.l_limit in
-  let svar = if frozen then Sfrozen counter_id else Sfree counter_id in
+    concrete walk never runs an iteration outside it); values stay
+    within [init.lo .. limit.hi - 1], as in {!Verify}'s range
+    analysis. *)
+let lower_frame st ~frames (fr : Walk.frame) : sval =
+  let binds = fr.fr_binds in
+  let vi = lower st ~binds ~frames fr.fr_init in
+  let vs = lower st ~binds ~frames fr.fr_step in
+  let vl = lower st ~binds ~frames fr.fr_limit in
+  let svar = if fr.fr_frozen then Sfrozen fr.fr_id else Sfree fr.fr_id in
   match (vi, const_of vs) with
   | Aff fi, Some c when c > 0 ->
       (match (range_of st vi, range_of st vl) with
@@ -918,133 +774,54 @@ let make_frame st env (lp : Ast.loop) ~frozen ~tdep ~counter_id ~offset : sframe
                 | None -> hi)
           in
           st.st_ranges <-
-            (counter_id, { rlo = lp_zero; rhi = hi; rst = 1 }) :: st.st_ranges
+            (fr.fr_id, { rlo = lp_zero; rhi = hi; rst = 1 }) :: st.st_ranges
       | _ -> ());
-      let value =
-        Aff
-          (sf_add fi
-             (sf_add
-                (sf_var ~coeff:(lp_const c) svar)
-                (sf_int (offset * c))))
-      in
-      { fr_var = lp.l_var; fr_frozen = frozen; fr_tdep = tdep; fr_value = value }
+      Aff
+        (sf_add fi
+           (sf_add
+              (sf_var ~coeff:(lp_const c) svar)
+              (sf_int (fr.fr_offset * c))))
   | _ ->
-      let range =
-        match (range_of st vi, range_of st vl) with
-        | Some ri, Some rl ->
-            Some { rlo = ri.rlo; rhi = lp_sub rl.rhi (lp_const 1); rst = 1 }
-        | _ -> None
-      in
-      (match range with
-      | Some r -> st.st_ranges <- (counter_id, r) :: st.st_ranges
-      | None -> ());
-      {
-        fr_var = lp.l_var;
-        fr_frozen = frozen;
-        fr_tdep = tdep;
-        fr_value = Aff (sf_var svar);
-      }
+      (match (range_of st vi, range_of st vl) with
+      | Some ri, Some rl ->
+          st.st_ranges <-
+            ( fr.fr_id,
+              { rlo = ri.rlo; rhi = lp_sub rl.rhi (lp_const 1); rst = 1 } )
+            :: st.st_ranges
+      | _ -> ());
+      Aff (sf_var svar)
 
-let rec swalk_block st spaces env (b : Ast.block) : senv =
-  List.fold_left (fun e s -> swalk_stmt st spaces e s) env b
+(** Lower a walk frame list (outermost first) to the loop variables in
+    scope, innermost first. The whole list is memoized by its innermost
+    frame's (loop id, pass), which determines the enclosing frames. *)
+let rec lower_frames st (frames : Walk.frame list) : sframes =
+  match List.rev frames with
+  | [] -> []
+  | fr :: outer_rev -> (
+      let key = (fr.fr_id, fr.fr_offset) in
+      match Hashtbl.find_opt st.st_frames key with
+      | Some lowered -> lowered
+      | None ->
+          let outer = lower_frames st (List.rev outer_rev) in
+          let lowered = (fr.fr_var, lower_frame st ~frames:outer fr) :: outer in
+          Hashtbl.replace st.st_frames key lowered;
+          lowered)
 
-and swalk_stmt st spaces env (s : Ast.stmt) : senv =
-  match s with
-  | Comment _ -> env
-  | Decl { d_name; d_ty = Scalar _; d_init } -> (
-      match d_init with
-      | Some e ->
-          scollect_expr st env spaces e;
-          { env with s_binds = (d_name, SBexpr e) :: env.s_binds }
-      | None -> { env with s_binds = (d_name, SBopaque) :: env.s_binds })
-  | Decl _ -> env
-  | Assign (lv, e) -> (
-      scollect_expr st env spaces e;
-      match lv with
-      | Lvar v -> { env with s_binds = (v, SBexpr e) :: env.s_binds }
-      | Lfield (Lvar v, _) -> forget_svars env [ v ]
-      | Lindex (arr, idxs) ->
-          srecord_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (scollect_expr st env spaces) idxs;
-          env
-      | Lvec { v_arr; v_width; v_index } ->
-          srecord_access st env spaces v_arr
-            (`Vec (v_width, v_index))
-            ~store:true;
-          scollect_expr st env spaces v_index;
-          env
-      | Lfield (Lindex (arr, idxs), _) ->
-          srecord_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (scollect_expr st env spaces) idxs;
-          env
-      | Lfield _ -> env)
-  | Sync ->
-      if env.s_div_hard then
-        violate st ~v_when:Constraint.tt ~rule:Verify.rule_barrier_divergence
-          ~path:(path_of { env with s_path = "__syncthreads()" :: env.s_path })
-          "__syncthreads() under thread-dependent control flow: threads \
-           that skip the barrier deadlock or desynchronize the block"
-      else if env.s_div_soft then
-        give_up st
-          "barrier under a lane-dependent loop whose uniform-trip escape \
-           is launch-dependent";
-      if env.s_guards = [] then st.st_interval <- st.st_interval + 1;
-      env
-  | Global_sync ->
-      if env.s_frames <> [] || env.s_guards <> [] then
-        violate st ~v_when:Constraint.tt ~rule:Verify.rule_barrier_divergence
-          ~path:(path_of { env with s_path = "__global_sync()" :: env.s_path })
-          "__global_sync() must appear at kernel top level";
-      if env.s_guards = [] then st.st_interval <- st.st_interval + 1;
-      env
-  | If (cond, t, f) ->
-      scollect_expr st env spaces cond;
-      let d = sthread_dep env.s_binds (frame_tdeps env.s_frames) cond in
-      let seg =
-        Printf.sprintf "if(%s)" (truncate_str 28 (Pp.expr_to_string cond))
-      in
-      let branch cond' =
-        {
-          env with
-          s_guards =
-            { sg_cond = cond'; sg_binds = env.s_binds; sg_frames = env.s_frames }
-            :: env.s_guards;
-          s_div_hard = env.s_div_hard || d;
-          s_path = seg :: env.s_path;
-        }
-      in
-      ignore (swalk_block st spaces (branch cond) t);
-      ignore (swalk_block st spaces (branch (Unop (Not, cond))) f);
-      forget_svars env (assigned_vars t @ assigned_vars f)
-  | For ({ l_var; l_init; l_limit; l_step; l_body } as lp) ->
-      scollect_expr st env spaces l_init;
-      scollect_expr st env spaces l_limit;
-      scollect_expr st env spaces l_step;
-      let frozen = block_has_sync l_body in
-      let tdep =
-        let tds = frame_tdeps env.s_frames in
-        sthread_dep env.s_binds tds l_init
-        || sthread_dep env.s_binds tds l_limit
-        || sthread_dep env.s_binds tds l_step
-      in
-      let counter_id = fresh_var st None in
-      let benv offset =
-        let fr = make_frame st env lp ~frozen ~tdep ~counter_id ~offset in
-        {
-          env with
-          s_frames = fr :: env.s_frames;
-          s_div_hard = env.s_div_hard || (tdep && not frozen);
-          s_div_soft = env.s_div_soft || (tdep && frozen);
-          s_path = Printf.sprintf "for(%s)" l_var :: env.s_path;
-          s_frozen_depth = (env.s_frozen_depth + if frozen then 1 else 0);
-        }
-      in
-      if frozen && env.s_frozen_depth < 2 then begin
-        ignore (swalk_block st spaces (benv 0) l_body);
-        ignore (swalk_block st spaces (benv 1) l_body)
-      end
-      else ignore (swalk_block st spaces (benv 0) l_body);
-      forget_svars env (l_var :: assigned_vars l_body)
+(** An access as the walk recorded it; the symbolic tier threads no
+    scope context. *)
+type sacc = unit Walk.acc
+
+(** Lower an expression at an access site, or at a guard. *)
+let lower_at st (acc : sacc) =
+  lower st ~binds:acc.a_binds ~frames:(lower_frames st acc.a_frames)
+
+let lower_guard st (g : Walk.guard) =
+  lower st ~binds:g.g_binds ~frames:(lower_frames st g.g_frames)
+
+let violate st ~v_when ~rule ~path message =
+  st.st_violations <-
+    { v_when; v_rule = rule; v_path = path; v_message = message }
+    :: st.st_violations
 
 (* ------------------------------------------------------------------ *)
 (* Race proving: two-symbolic-thread disequality                        *)
@@ -1070,14 +847,12 @@ type off =
   | Ofail of string
 
 let offset_form st (lay : Layout.t) (acc : sacc) : off =
-  match acc.x_kind with
+  match acc.a_kind with
   | `Sc idxs ->
       let strides = Layout.strides lay in
       if List.length idxs <> List.length strides then Oskip
       else
-        let vs =
-          List.map (lower st ~binds:acc.x_binds ~frames:acc.x_frames) idxs
-        in
+        let vs = List.map (lower_at st acc) idxs in
         if List.exists (fun v -> v = Opq) vs then Oskip
         else (
           match (vs, strides) with
@@ -1093,7 +868,7 @@ let offset_form st (lay : Layout.t) (acc : sacc) : off =
               | Some f -> Oaff f
               | None -> Ofail "non-affine index"))
   | `Vec (w, ie) -> (
-      match lower st ~binds:acc.x_binds ~frames:acc.x_frames ie with
+      match lower_at st acc ie with
       | Opq -> Oskip
       | Aff f -> Ovec (w, f)
       | Modv _ | Rng _ -> Ofail "non-affine vector index")
@@ -1168,8 +943,8 @@ type clamp = { cl_form : sform; cl_kind : [ `Hi | `Lo ]; cl_poly : lpoly }
     consequences of the guards' truth. *)
 let guard_clamps st (acc : sacc) : clamp list =
   List.concat_map
-    (fun g ->
-      let lower_g = lower st ~binds:g.sg_binds ~frames:g.sg_frames in
+    (fun (g : Walk.guard) ->
+      let lower_g = lower_guard st g in
       let mk a b strict kind =
         match (lower_g a, lower_g b) with
         | Aff fa, Aff fb when fb.sterms = [] -> (
@@ -1190,8 +965,8 @@ let guard_clamps st (acc : sacc) : clamp list =
         | Binop (And, a, b) -> if pos then of_cond pos a @ of_cond pos b else []
         | _ -> []
       in
-      of_cond true g.sg_cond)
-    acc.x_guards
+      of_cond true g.g_cond)
+    acc.a_guards
 
 (* Guard caps for race proving: an inequality guard affine in a single
    thread coordinate with a constant bound caps that coordinate for
@@ -1444,13 +1219,10 @@ let rec prove_delta ~caps ~pinned_tx ~pinned_ty (d : delta) :
     the concrete race check passes unevaluable guards leniently. *)
 let pinning_conds st (acc : sacc) : (Ast.expr * [ `Tx | `Ty ]) list =
   List.filter_map
-    (fun g ->
-      match g.sg_cond with
+    (fun (g : Walk.guard) ->
+      match g.g_cond with
       | Ast.Binop (Eq, l, r) -> (
-          match
-            ( lower st ~binds:g.sg_binds ~frames:g.sg_frames l,
-              lower st ~binds:g.sg_binds ~frames:g.sg_frames r )
-          with
+          match (lower_guard st g l, lower_guard st g r) with
           | Aff fl, Aff fr -> (
               let f = sf_sub fl fr in
               let nz c =
@@ -1459,12 +1231,12 @@ let pinning_conds st (acc : sacc) : (Ast.expr * [ `Tx | `Ty ]) list =
                 | None -> lp_provably_nonzero c
               in
               match List.filter (fun (v, _) -> not (svar_shared v)) f.sterms with
-              | [ (Stidx, c) ] when nz c -> Some (g.sg_cond, `Tx)
-              | [ (Stidy, c) ] when nz c -> Some (g.sg_cond, `Ty)
+              | [ (Stidx, c) ] when nz c -> Some (g.g_cond, `Tx)
+              | [ (Stidy, c) ] when nz c -> Some (g.g_cond, `Ty)
               | _ -> None)
           | _ -> None)
       | _ -> None)
-    acc.x_guards
+    acc.a_guards
 
 let race_rule space =
   if space = `Shared then Verify.rule_race_shared else Verify.rule_race_global
@@ -1489,17 +1261,17 @@ let prove_aff st (a : sacc) (b : sacc) (fa : sform) (fb : sform) :
       | `Collide ->
           (* every pair of distinct threads lands on one element *)
           if
-            (a.x_store || b.x_store)
-            && a.x_guards = [] && b.x_guards = []
-            && a.x_frames = [] && b.x_frames = []
+            (a.a_store || b.a_store)
+            && a.a_guards = [] && b.a_guards = []
+            && a.a_frames = [] && b.a_frames = []
           then
             violate st
               ~v_when:[ atom mono_threads `Ge 2 ]
-              ~rule:(race_rule a.x_space) ~path:a.x_path
+              ~rule:(race_rule a.a_space) ~path:a.a_path
               (Printf.sprintf
                  "every pair of distinct threads touches the same element of \
                   %s in one barrier interval"
-                 a.x_arr);
+                 a.a_arr);
           `Ok [ atom mono_threads `Le 1 ])
 
 let prove_pair st lay (a : sacc) (b : sacc) :
@@ -1515,18 +1287,18 @@ let prove_pair st lay (a : sacc) (b : sacc) :
         then begin
           (* [lane mod ca]: injective over the block iff bx*by <= ca *)
           if
-            (a.x_store || b.x_store)
+            (a.a_store || b.a_store)
             && ca + 1 <= 512
-            && a.x_guards = [] && b.x_guards = []
-            && a.x_frames = [] && b.x_frames = []
+            && a.a_guards = [] && b.a_guards = []
+            && a.a_frames = [] && b.a_frames = []
           then
             violate st
               ~v_when:[ atom mono_threads `Ge (ca + 1) ]
-              ~rule:(race_rule a.x_space) ~path:a.x_path
+              ~rule:(race_rule a.a_space) ~path:a.a_path
               (Printf.sprintf
                  "lanes %d apart collide on %s through the mod-%d store \
                   whenever bx*by >= %d"
-                 ca a.x_arr ca (ca + 1));
+                 ca a.a_arr ca (ca + 1));
           `Ok [ atom mono_threads `Le ca ]
         end
         else `Fail "modular index is not a lane bijection"
@@ -1545,13 +1317,12 @@ let prove_pair st lay (a : sacc) (b : sacc) :
 (** Prove one access in bounds for every launch (up to emitted atoms).
     Opaque index dimensions are skipped: the concrete witness hunt
     cannot evaluate them, so no error can arise from them. *)
-let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
-    =
-  match Layout.find layouts acc.x_arr with
+let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result =
+  match Layout.find layouts acc.a_arr with
   | None -> Ok []
   | Some lay -> (
       let dims =
-        match acc.x_kind with
+        match acc.a_kind with
         | `Sc idxs ->
             if List.length idxs <> List.length lay.Layout.pitches then []
             else List.map2 (fun e p -> (e, p, 1, 0)) idxs lay.Layout.pitches
@@ -1635,14 +1406,14 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
         | _ -> base
       in
       let check_dim (e, bound, scale, offs) =
-        match lower st ~binds:acc.x_binds ~frames:acc.x_frames e with
+        match lower_at st acc e with
         | Opq -> Ok []
         | v ->
             let lo_ok = List.exists lp_nonneg (candidates v `Lo) in
             if not lo_ok then
               Error
                 (Printf.sprintf "cannot prove %s >= 0 in %s"
-                   (Pp.expr_to_string e) acc.x_arr)
+                   (Pp.expr_to_string e) acc.a_arr)
             else
               (* among independently sufficient alternatives prefer the
                  one provable at the most launches: a guard-refined
@@ -1670,7 +1441,7 @@ let prove_bounds st layouts (acc : sacc) : (Constraint.t, string) Stdlib.result
               | None ->
                   Error
                     (Printf.sprintf "cannot prove %s < %d in %s"
-                       (Pp.expr_to_string e) bound acc.x_arr))
+                       (Pp.expr_to_string e) bound acc.a_arr))
       in
       List.fold_left
         (fun acc_r d ->
@@ -1694,60 +1465,31 @@ type result = {
   violations : violation list;
 }
 
-let spaces_of (k : Ast.kernel) : (string * [ `Shared | `Global ]) list =
-  let from_params =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.p_ty with
-        | Ast.Array { space = Global; _ } -> Some (p.p_name, `Global)
-        | Array { space = Shared; _ } -> Some (p.p_name, `Shared)
-        | _ -> None)
-      k.k_params
-  in
-  let from_decls =
-    Rewrite.declared_vars k.k_body
-    |> List.filter_map (fun (name, ty) ->
-           match ty with
-           | Ast.Array { space = Shared; _ } -> Some (name, `Shared)
-           | _ -> None)
-  in
-  from_params @ from_decls
-
-let acc_key (a : sacc) =
-  match a.x_kind with
-  | `Sc idxs -> Pp.expr_to_string (Ast.Index (a.x_arr, idxs))
-  | `Vec (w, ie) ->
-      Pp.expr_to_string (Vload { v_arr = a.x_arr; v_width = w; v_index = ie })
-
 let check_exn (k : Ast.kernel) : result =
   let st =
     {
-      st_kernel = k.k_name;
       st_sizes = k.k_sizes;
-      st_interval = 0;
-      st_accs = [];
       st_violations = [];
       st_unknown = None;
-      st_next_id = 0;
       st_ranges = [];
+      st_frames = Hashtbl.create 16;
     }
   in
   let layouts = Layout.of_kernel k in
-  let spaces = spaces_of k in
-  let env0 =
-    {
-      s_binds = [];
-      s_frames = [];
-      s_guards = [];
-      s_div_hard = false;
-      s_div_soft = false;
-      s_path = [];
-      s_frozen_depth = 0;
-    }
-  in
-  ignore (swalk_block st spaces env0 k.k_body);
-  let accs = List.rev st.st_accs in
-  let atoms = ref Constraint.tt in
+  let w = Walk.walk Walk.no_scope () k in
+  (* a soft barrier's divergence depends on the launch's trip counts,
+     which only the concrete tier evaluates *)
+  List.iter
+    (fun (b : Walk.barrier) ->
+      if b.b_hard then
+        violate st ~v_when:[] ~rule:Verify.rule_barrier_divergence
+          ~path:b.b_path b.b_message
+      else
+        give_up st
+          "barrier under a lane-dependent loop whose uniform-trip escape \
+           is launch-dependent")
+    w.barriers;
+  let atoms = ref [] in
   let require c = atoms := Constraint.conj !atoms c in
   let unknown () = st.st_unknown <> None in
   (* bounds first, once per distinct syntactic access: the phase is
@@ -1755,66 +1497,40 @@ let check_exn (k : Ast.kernel) : result =
      bailing here skips the quadratic race phase when the verdict is
      already doomed to Unknown (the concrete fallback re-checks
      everything anyway) *)
-  let seen = Hashtbl.create 64 in
   List.iter
     (fun a ->
       if not (unknown ()) then
-        let key = (a.x_path, a.x_arr, a.x_store, acc_key a) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          match prove_bounds st layouts a with
-          | Ok c -> require c
-          | Error m -> give_up st m
-        end)
-    accs;
+        match prove_bounds st layouts a with
+        | Ok c -> require c
+        | Error m -> give_up st m)
+    (Walk.sites w.accs);
   (* races, interval by interval, array by array *)
-  if not (unknown ()) then begin
-    let intervals = Hashtbl.create 8 in
-    List.iter
-      (fun a ->
-        Hashtbl.replace intervals a.x_interval
-          (a :: (try Hashtbl.find intervals a.x_interval with Not_found -> [])))
-      accs;
-    Hashtbl.iter
-      (fun _ group ->
-        let by_arr = Hashtbl.create 8 in
-        List.iter
-          (fun a ->
-            Hashtbl.replace by_arr a.x_arr
-              (a :: (try Hashtbl.find by_arr a.x_arr with Not_found -> [])))
-          (List.rev group);
-        Hashtbl.iter
-          (fun arr accs_arr ->
-            let accs_arr = List.rev accs_arr in
-            if
-              (not (unknown ()))
-              && List.exists (fun a -> a.x_store) accs_arr
-            then
-              match Layout.find layouts arr with
-              | None -> ()
-              | Some lay ->
-                  let arr_accs = Array.of_list accs_arr in
-                  let n = Array.length arr_accs in
-                  let i = ref 0 in
-                  while !i < n && not (unknown ()) do
-                    let j = ref !i in
-                    while !j < n && not (unknown ()) do
-                      let a = arr_accs.(!i) and b = arr_accs.(!j) in
-                      (if a.x_store || b.x_store then
-                         match prove_pair st lay a b with
-                         | `Ok c -> require c
-                         | `Fail m ->
-                             give_up st
-                               (Printf.sprintf "%s: %s (%s)" arr m
-                                  (if a.x_path = "" then "top level"
-                                   else a.x_path)));
-                      incr j
-                    done;
-                    incr i
-                  done)
-          by_arr)
-      intervals
-  end;
+  List.iter
+    (List.iter (fun (arr, (accs_arr : sacc list)) ->
+         if not (unknown ()) then
+           match Layout.find layouts arr with
+           | None -> ()
+           | Some lay ->
+               let arr_accs = Array.of_list accs_arr in
+               let n = Array.length arr_accs in
+               let i = ref 0 in
+               while !i < n && not (unknown ()) do
+                 let j = ref !i in
+                 while !j < n && not (unknown ()) do
+                   let a = arr_accs.(!i) and b = arr_accs.(!j) in
+                   (if a.a_store || b.a_store then
+                      match prove_pair st lay a b with
+                      | `Ok c -> require c
+                      | `Fail m ->
+                          give_up st
+                            (Printf.sprintf "%s: %s (%s)" arr m
+                               (if a.a_path = "" then "top level"
+                                else a.a_path)));
+                   incr j
+                 done;
+                 incr i
+               done))
+    (Walk.races w.accs);
   let verdict =
     match st.st_unknown with
     | Some r -> Unknown r

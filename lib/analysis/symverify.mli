@@ -6,8 +6,10 @@
     The abstraction tracks two symbolic threads [s <> t] of the same
     block with symbolic block dims [(bx, by)]; races are refuted by
     affine disequality over the thread-index difference, bounds by
-    interval/guard reasoning, and barrier uniformity by the same
-    thread-dependence test the concrete verifier uses.
+    interval/guard reasoning. Accesses, guards, loop frames, barrier
+    intervals and barrier divergence come from the {!Walk} the concrete
+    verifier reads too; this module lowers them to launch-parametric
+    forms.
 
     Soundness contract (directional): whenever {!decide} answers
     [`Clean] for a launch, the concrete {!Verify.check} reports no
@@ -29,14 +31,6 @@ module Constraint : sig
 
   (** A conjunction of atoms. [[]] is the trivial constraint. *)
   type t = atom list
-
-  val tt : t
-  val holds : Gpcc_ast.Ast.launch -> t -> bool
-
-  (** Keep only the strongest atom per (monomial, direction). *)
-  val normalize : t -> t
-
-  val conj : t -> t -> t
 
   val to_string : t -> string
 end

@@ -2,10 +2,10 @@
 
     The implementation has four moving parts:
 
-    1. a {e walk} over the kernel body that numbers barrier intervals,
-       snapshots every memory access with its guards, enclosing loops,
-       scalar bindings and {!Affine} context, and reports barrier
-       divergence on the way;
+    1. the {!Walk} over the kernel body, shared with {!Symverify}, which
+       numbers barrier intervals, snapshots every memory access with its
+       guards, enclosing loops, scalar bindings and {!Affine} context,
+       and classifies barriers that may diverge;
     2. a {e concrete evaluator} for integer expressions under one
        thread's coordinates plus loop-iteration bindings — this is what
        lets the race check intersect per-thread access sets exactly,
@@ -18,6 +18,7 @@
        out-of-bounds witnesses when 3 cannot prove safety. *)
 
 open Gpcc_ast
+open Walk
 
 type severity =
   | Error
@@ -82,14 +83,6 @@ let json_of_diagnostics ds =
 
 (* --- concrete integer evaluation under one thread --- *)
 
-(** A scalar binding at some program point. [Bexpr] keeps the defining
-    expression (evaluated in the environment suffix {e after} the
-    binding, so rebindings and self-references resolve lexically). *)
-type binding =
-  | Bexpr of Ast.expr
-  | Bval of int
-  | Bunknown
-
 type cenv = {
   c_launch : Ast.launch;
   c_sizes : (string * int) list;
@@ -97,15 +90,10 @@ type cenv = {
   c_tidy : int;
   c_bidx : int;
   c_bidy : int;
-  c_binds : (string * binding) list;  (** innermost (most recent) first *)
+  c_binds : binds;
 }
 
 exception Unknown
-
-let rec assoc_split name = function
-  | [] -> None
-  | (n, b) :: rest ->
-      if String.equal n name then Some (b, rest) else assoc_split name rest
 
 let rec eval_int (env : cenv) (e : Ast.expr) : int =
   match e with
@@ -244,300 +232,29 @@ let si_clamp b ~lo ~hi =
     in
     if hi' < lo' then None else Some (si_norm { lo = lo'; hi = hi'; st = b.st })
 
-(* --- access records collected by the walk --- *)
-
-type frame = {
-  fr_var : string;
-  fr_init : Ast.expr;
-  fr_limit : Ast.expr;
-  fr_step : Ast.expr;
-  fr_frozen : bool;  (** the loop body contains a barrier *)
-  fr_offset : int;  (** 0, or 1 for the wrap-around symbolic pass *)
-  fr_binds : (string * binding) list;  (** scalar env at loop entry *)
-}
-
-type guard = {
-  g_cond : Ast.expr;  (** must evaluate true for the access to run *)
-  g_binds : (string * binding) list;
-}
-
-type acc = {
-  a_arr : string;
-  a_space : [ `Shared | `Global ];
-  a_kind : [ `Sc of Ast.expr list | `Vec of int * Ast.expr ];
-  a_store : bool;
-  a_interval : int;
-  a_frames : frame list;  (** outermost first; frozen frames form a prefix *)
-  a_guards : guard list;
-  a_binds : (string * binding) list;
-  a_ctx : Affine.ctx;
-  a_path : string;
-}
-
-let acc_expr a =
-  match a.a_kind with
-  | `Sc idxs -> Pp.expr_to_string (Index (a.a_arr, idxs))
-  | `Vec (w, ie) ->
-      Pp.expr_to_string (Vload { v_arr = a.a_arr; v_width = w; v_index = ie })
-
-(* --- the walk: intervals, accesses, barrier divergence --- *)
-
-type wenv = {
-  w_binds : (string * binding) list;
-  w_frames : frame list;  (** innermost first *)
-  w_guards : guard list;
-  w_ctx : Affine.ctx;
-  w_div : bool;  (** under thread-dependent control flow *)
-  w_path : string list;  (** reversed segments *)
-  w_frozen_depth : int;
-}
-
-type wstate = {
-  ws_kernel : string;
-  mutable ws_interval : int;
-  mutable ws_accs : acc list;
-  mutable ws_diags : diagnostic list;
-  ws_uniform : (string * binding) list -> Ast.loop -> bool;
-      (** can every thread of any one block be shown to run this loop the
-          same number of times? (grid-strided loops like
-          [for (i = idx; i < len; i += nt)] may contain barriers) *)
-}
-
-let truncate_str n s = if String.length s <= n then s else String.sub s 0 n ^ "…"
-let path_of env = String.concat "/" (List.rev env.w_path)
-
-(** Does the expression's value depend on the thread position?
-    Conservative: array loads count (data-dependent), loop variables
-    count when any of the loop's bounds do. *)
-let rec thread_dep (binds : (string * binding) list) (frames : frame list)
-    (e : Ast.expr) : bool =
-  match e with
-  | Builtin (Idx | Idy | Tidx | Tidy) -> true
-  | Builtin _ | Int_lit _ | Float_lit _ -> false
-  | Var v -> (
-      match assoc_split v binds with
-      | Some (Bexpr e', rest) -> thread_dep rest frames e'
-      | Some (Bval _, _) -> false
-      | Some (Bunknown, _) -> true
-      | None -> (
-          match List.find_opt (fun f -> String.equal f.fr_var v) frames with
-          | Some f ->
-              thread_dep f.fr_binds frames f.fr_init
-              || thread_dep f.fr_binds frames f.fr_limit
-              || thread_dep f.fr_binds frames f.fr_step
-          | None -> false))
-  | Index _ | Vload _ -> true
-  | Unop (_, a) | Field (a, _) -> thread_dep binds frames a
-  | Binop (_, a, b) -> thread_dep binds frames a || thread_dep binds frames b
-  | Call (_, args) -> List.exists (thread_dep binds frames) args
-  | Select (a, b, c) ->
-      thread_dep binds frames a || thread_dep binds frames b
-      || thread_dep binds frames c
-
-let rec block_has_sync b = List.exists stmt_has_sync b
-
-and stmt_has_sync = function
-  | Ast.Sync | Global_sync -> true
-  | If (_, t, f) -> block_has_sync t || block_has_sync f
-  | For l -> block_has_sync l.l_body
-  | Decl _ | Assign _ | Comment _ -> false
-
-(** Scalar names (re)assigned or declared anywhere in a block — after a
-    branch or loop their walk-time binding is no longer reliable. *)
-let rec assigned_vars b = List.concat_map assigned_vars_stmt b
-
-and assigned_vars_stmt = function
-  | Ast.Decl d -> [ d.d_name ]
-  | Assign (Lvar v, _) | Assign (Lfield (Lvar v, _), _) -> [ v ]
-  | Assign ((Lindex _ | Lvec _ | Lfield _), _) -> []
-  | If (_, t, f) -> assigned_vars t @ assigned_vars f
-  | For l -> l.l_var :: assigned_vars l.l_body
-  | Sync | Global_sync | Comment _ -> []
+(* --- walk scope and diagnostics --- *)
 
 (* an rhs no affine analysis can see through, used to clear a ctx let *)
 let opaque_rhs = Ast.Float_lit 0.0
 
-let forget_vars env vars =
+(* the concrete tier's walk context: affine bindings and loops at the
+   launch *)
+let scope =
   {
-    env with
-    w_binds = List.map (fun v -> (v, Bunknown)) vars @ env.w_binds;
-    w_ctx =
-      List.fold_left (fun c v -> Affine.enter_let c v opaque_rhs) env.w_ctx vars;
+    let_ =
+      (fun c v e -> Affine.enter_let c v (Option.value e ~default:opaque_rhs));
+    loop = (fun c lp -> Option.value (Affine.enter_loop c lp) ~default:c);
   }
 
+type state = {
+  kernel : string;
+  mutable diags : diagnostic list;
+}
+
 let diag st ?(severity = Error) ~rule ~path message =
-  st.ws_diags <-
-    { severity; rule; kernel = st.ws_kernel; path; message } :: st.ws_diags
+  st.diags <- { severity; rule; kernel = st.kernel; path; message } :: st.diags
 
-let record_access st env spaces arr kind ~store =
-  match List.assoc_opt arr spaces with
-  | None -> ()
-  | Some space ->
-      st.ws_accs <-
-        {
-          a_arr = arr;
-          a_space = space;
-          a_kind = kind;
-          a_store = store;
-          a_interval = st.ws_interval;
-          a_frames = List.rev env.w_frames;
-          a_guards = env.w_guards;
-          a_binds = env.w_binds;
-          a_ctx = env.w_ctx;
-          a_path = path_of env;
-        }
-        :: st.ws_accs
-
-let rec collect_expr st env spaces (e : Ast.expr) : unit =
-  match e with
-  | Index (arr, idxs) ->
-      record_access st env spaces arr (`Sc idxs) ~store:false;
-      List.iter (collect_expr st env spaces) idxs
-  | Vload { v_arr; v_width; v_index } ->
-      record_access st env spaces v_arr (`Vec (v_width, v_index)) ~store:false;
-      collect_expr st env spaces v_index
-  | Unop (_, a) | Field (a, _) -> collect_expr st env spaces a
-  | Binop (_, a, b) ->
-      collect_expr st env spaces a;
-      collect_expr st env spaces b
-  | Call (_, args) -> List.iter (collect_expr st env spaces) args
-  | Select (a, b, c) ->
-      collect_expr st env spaces a;
-      collect_expr st env spaces b;
-      collect_expr st env spaces c
-  | Int_lit _ | Float_lit _ | Var _ | Builtin _ -> ()
-
-let rec walk_block st spaces env (b : Ast.block) : wenv =
-  List.fold_left (fun e s -> walk_stmt st spaces e s) env b
-
-and walk_stmt st spaces env (s : Ast.stmt) : wenv =
-  match s with
-  | Comment _ -> env
-  | Decl { d_name; d_ty = Scalar _; d_init } -> (
-      match d_init with
-      | Some e ->
-          collect_expr st env spaces e;
-          {
-            env with
-            w_binds = (d_name, Bexpr e) :: env.w_binds;
-            w_ctx = Affine.enter_let env.w_ctx d_name e;
-          }
-      | None ->
-          {
-            env with
-            w_binds = (d_name, Bunknown) :: env.w_binds;
-            w_ctx = Affine.enter_let env.w_ctx d_name opaque_rhs;
-          })
-  | Decl _ -> env (* shared arrays: layout table covers them *)
-  | Assign (lv, e) -> (
-      collect_expr st env spaces e;
-      match lv with
-      | Lvar v ->
-          {
-            env with
-            w_binds = (v, Bexpr e) :: env.w_binds;
-            w_ctx = Affine.enter_let env.w_ctx v e;
-          }
-      | Lfield (Lvar v, _) -> forget_vars env [ v ]
-      | Lindex (arr, idxs) ->
-          record_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (collect_expr st env spaces) idxs;
-          env
-      | Lvec { v_arr; v_width; v_index } ->
-          record_access st env spaces v_arr
-            (`Vec (v_width, v_index))
-            ~store:true;
-          collect_expr st env spaces v_index;
-          env
-      | Lfield (Lindex (arr, idxs), _) ->
-          record_access st env spaces arr (`Sc idxs) ~store:true;
-          List.iter (collect_expr st env spaces) idxs;
-          env
-      | Lfield _ -> env)
-  | Sync ->
-      if env.w_div then
-        diag st ~rule:rule_barrier_divergence
-          ~path:(path_of { env with w_path = "__syncthreads()" :: env.w_path })
-          "__syncthreads() under thread-dependent control flow: threads \
-           that skip the barrier deadlock or desynchronize the block";
-      (* a guarded barrier may not execute: splitting the interval there
-         would hide races between the code around it, so only an
-         unconditional barrier starts a new interval *)
-      if env.w_guards = [] then st.ws_interval <- st.ws_interval + 1;
-      env
-  | Global_sync ->
-      if env.w_frames <> [] || env.w_guards <> [] then
-        diag st ~rule:rule_barrier_divergence
-          ~path:(path_of { env with w_path = "__global_sync()" :: env.w_path })
-          "__global_sync() must appear at kernel top level";
-      if env.w_guards = [] then st.ws_interval <- st.ws_interval + 1;
-      env
-  | If (cond, t, f) ->
-      collect_expr st env spaces cond;
-      let d = thread_dep env.w_binds env.w_frames cond in
-      let seg =
-        Printf.sprintf "if(%s)" (truncate_str 28 (Pp.expr_to_string cond))
-      in
-      let branch cond' =
-        {
-          env with
-          w_guards = { g_cond = cond'; g_binds = env.w_binds } :: env.w_guards;
-          w_div = env.w_div || d;
-          w_path = seg :: env.w_path;
-        }
-      in
-      ignore (walk_block st spaces (branch cond) t);
-      ignore (walk_block st spaces (branch (Unop (Not, cond))) f);
-      forget_vars env (assigned_vars t @ assigned_vars f)
-  | For ({ l_var; l_init; l_limit; l_step; l_body } as lp) ->
-      collect_expr st env spaces l_init;
-      collect_expr st env spaces l_limit;
-      collect_expr st env spaces l_step;
-      let frozen = block_has_sync l_body in
-      let tdep =
-        thread_dep env.w_binds env.w_frames l_init
-        || thread_dep env.w_binds env.w_frames l_limit
-        || thread_dep env.w_binds env.w_frames l_step
-      in
-      (* lane-dependent bounds with a provably block-uniform trip count
-         (the grid-strided idiom) execute any contained barrier in
-         lockstep: not divergence *)
-      let tdep = tdep && not (frozen && st.ws_uniform env.w_binds lp) in
-      let fr offset =
-        {
-          fr_var = l_var;
-          fr_init = l_init;
-          fr_limit = l_limit;
-          fr_step = l_step;
-          fr_frozen = frozen;
-          fr_offset = offset;
-          fr_binds = env.w_binds;
-        }
-      in
-      let ctx' =
-        match Affine.enter_loop env.w_ctx lp with
-        | Some c -> c
-        | None -> env.w_ctx
-      in
-      let benv offset =
-        {
-          env with
-          w_frames = fr offset :: env.w_frames;
-          w_ctx = ctx';
-          w_div = env.w_div || tdep;
-          w_path = Printf.sprintf "for(%s)" l_var :: env.w_path;
-          w_frozen_depth = (env.w_frozen_depth + if frozen then 1 else 0);
-        }
-      in
-      if frozen && env.w_frozen_depth < 2 then begin
-        (* two symbolic passes: iteration k, then k+1 — accesses of the
-           second pass land in the interval opened by the last barrier of
-           the first, which is exactly the wrap-around interval *)
-        ignore (walk_block st spaces (benv 0) l_body);
-        ignore (walk_block st spaces (benv 1) l_body)
-      end
-      else ignore (walk_block st spaces (benv 0) l_body);
-      forget_vars env (l_var :: assigned_vars l_body)
+type acc = Affine.ctx Walk.acc
 
 (* --- enumeration: windows of loop-iteration values per thread --- *)
 
@@ -580,20 +297,23 @@ let sample_axis n cap =
   else List.sort_uniq compare (List.init cap (fun i -> i * (n - 1) / (cap - 1)))
 
 (** Can every thread of any one block be shown to run the loop the same
-    number of times? Concretely evaluates the trip count per (block,
-    lane); large grids are sampled per axis (corners plus a strided
-    interior), so acceptance is empirical beyond the cap — in keeping
-    with the verifier's lint-grade charter — while rejection (returning
-    [false]) merely defers to the conservative divergence flag. *)
-let uniform_trip_count (launch : Ast.launch) sizes binds (lp : Ast.loop) : bool
-    =
+    number of times? (Grid-strided loops like
+    [for (i = idx; i < len; i += nt)] may then contain barriers.)
+    Concretely evaluates the trip count per (block, lane); large grids
+    are sampled per axis (corners plus a strided interior), so
+    acceptance is empirical beyond the cap — in keeping with the
+    verifier's lint-grade charter — while rejection (returning [false])
+    reports the barrier as divergent. *)
+let uniform_trip_count (launch : Ast.launch) sizes (fr : frame) : bool =
   let lanes = launch.block_x * launch.block_y in
   lanes <= 512
   &&
   let trip ~bidx ~bidy lane =
-    let env = mk_cenv launch sizes ~bidx ~bidy ~lane binds [] in
+    let env = mk_cenv launch sizes ~bidx ~bidy ~lane fr.fr_binds [] in
     match
-      (eval_opt env lp.l_init, eval_opt env lp.l_limit, eval_opt env lp.l_step)
+      ( eval_opt env fr.fr_init,
+        eval_opt env fr.fr_limit,
+        eval_opt env fr.fr_step )
     with
     | Some v0, Some lim, Some step when step > 0 ->
         Some (if lim <= v0 then 0 else (lim - v0 + step - 1) / step)
@@ -753,128 +473,96 @@ let frozen_assignments (launch : Ast.launch) sizes ~bidx ~bidy
         asns)
     [ [] ] frames
 
-let check_races st (launch : Ast.launch) sizes layouts ~max_lanes ~dedup_pairs
-    (group : acc list) : unit =
-  let n = launch.block_x * launch.block_y in
-  if n > 1 then begin
-    let lanes = min n max_lanes in
-    let by_arr = Hashtbl.create 8 in
-    List.iter
-      (fun a ->
-        Hashtbl.replace by_arr a.a_arr
-          (a :: (try Hashtbl.find by_arr a.a_arr with Not_found -> [])))
-      group;
-    let blocks =
-      List.sort_uniq compare
-        [ (0, 0); (launch.grid_x - 1, launch.grid_y - 1) ]
-    in
-    Hashtbl.iter
-      (fun arr accs ->
-        let accs = List.rev accs in
-        if List.exists (fun a -> a.a_store) accs then
-          match Layout.find layouts arr with
-          | None -> ()
-          | Some lay -> (
-              let space = (List.hd accs).a_space in
-              let report lane1 st1 p1 lane2 st2 p2 ~bidx ~bidy off =
-                let key = (arr, min p1 p2, max p1 p2) in
-                if not (Hashtbl.mem dedup_pairs key) then begin
-                  Hashtbl.replace dedup_pairs key ();
-                  let rule =
-                    if space = `Shared then rule_race_shared
-                    else rule_race_global
-                  in
-                  let rw s = if s then "write" else "read" in
-                  diag st ~rule ~path:p1
-                    (Printf.sprintf
-                       "threads %d and %d of block (%d,%d) touch %s element \
-                        %d in the same barrier interval (%s at %s, %s at \
-                        %s): insert __syncthreads() between the accesses"
-                       lane1 lane2 bidx bidy arr off (rw st1)
-                       (if p1 = "" then "top level" else p1)
-                       (rw st2)
-                       (if p2 = "" then "top level" else p2))
-                end
-              in
-              let exception Found in
-              try
+let check_races st (launch : Ast.launch) sizes layouts ~lanes ~dedup_pairs
+    ((arr, accs) : string * acc list) : unit =
+  match Layout.find layouts arr with
+  | None -> ()
+  | Some lay -> (
+      let blocks =
+        List.sort_uniq compare
+          [ (0, 0); (launch.grid_x - 1, launch.grid_y - 1) ]
+      in
+      let space = (List.hd accs).a_space in
+      let report lane1 st1 p1 lane2 st2 p2 ~bidx ~bidy off =
+        let key = (arr, min p1 p2, max p1 p2) in
+        if not (Hashtbl.mem dedup_pairs key) then begin
+          Hashtbl.replace dedup_pairs key ();
+          let rule =
+            if space = `Shared then rule_race_shared else rule_race_global
+          in
+          let rw s = if s then "write" else "read" in
+          diag st ~rule ~path:p1
+            (Printf.sprintf
+               "threads %d and %d of block (%d,%d) touch %s element %d in \
+                the same barrier interval (%s at %s, %s at %s): insert \
+                __syncthreads() between the accesses"
+               lane1 lane2 bidx bidy arr off (rw st1)
+               (if p1 = "" then "top level" else p1)
+               (rw st2)
+               (if p2 = "" then "top level" else p2))
+        end
+      in
+      let exception Found in
+      try
+        List.iter
+          (fun (bidx, bidy) ->
+            List.iter
+              (fun frozen ->
+                (* element -> one write and one read seen, if any *)
+                let writes = Hashtbl.create 64
+                and reads = Hashtbl.create 64 in
+                let conflict = ref None in
                 List.iter
-                  (fun (bidx, bidy) ->
-                    List.iter
-                      (fun frozen ->
-                        (* element -> one write and one read seen, if any *)
-                        let writes = Hashtbl.create 64
-                        and reads = Hashtbl.create 64 in
-                        let conflict = ref None in
-                        List.iter
-                          (fun acc ->
-                            for lane = 0 to lanes - 1 do
-                              enum_access launch sizes ~bidx ~bidy ~lane
-                                ~lenient:true ~w:race_window ~frozen acc
-                                (fun env ->
-                                  match acc_offsets lay acc env with
-                                  | None -> ()
-                                  | Some offs ->
-                                      List.iter
-                                        (fun off ->
-                                          if !conflict = None then begin
-                                            (match
-                                               Hashtbl.find_opt writes off
-                                             with
-                                            | Some (l2, p2) when l2 <> lane ->
-                                                conflict :=
-                                                  Some
-                                                    ( lane,
-                                                      acc.a_store,
-                                                      acc.a_path,
-                                                      l2,
-                                                      true,
-                                                      p2,
-                                                      off )
-                                            | _ -> ());
-                                            if acc.a_store then begin
-                                              (match
-                                                 Hashtbl.find_opt reads off
-                                               with
-                                              | Some (l2, p2) when l2 <> lane
-                                                ->
-                                                  conflict :=
-                                                    Some
-                                                      ( lane,
-                                                        true,
-                                                        acc.a_path,
-                                                        l2,
-                                                        false,
-                                                        p2,
-                                                        off )
-                                              | _ -> ());
-                                              Hashtbl.replace writes off
-                                                (lane, acc.a_path)
-                                            end
-                                            else
-                                              Hashtbl.replace reads off
-                                                (lane, acc.a_path)
-                                          end)
-                                        offs)
-                            done)
-                          accs;
-                        match !conflict with
-                        | Some (l1, s1, p1, l2, s2, p2, off) ->
-                            report l1 s1 p1 l2 s2 p2 ~bidx ~bidy off;
-                            raise Found
-                        | None -> ())
-                      (frozen_assignments launch sizes ~bidx ~bidy accs))
-                  blocks
-              with Found -> ()))
-      by_arr
-  end
+                  (fun acc ->
+                    for lane = 0 to lanes - 1 do
+                      enum_access launch sizes ~bidx ~bidy ~lane ~lenient:true
+                        ~w:race_window ~frozen acc (fun env ->
+                          match acc_offsets lay acc env with
+                          | None -> ()
+                          | Some offs ->
+                              List.iter
+                                (fun off ->
+                                  if !conflict = None then begin
+                                    (match Hashtbl.find_opt writes off with
+                                    | Some (l2, p2) when l2 <> lane ->
+                                        conflict :=
+                                          Some
+                                            ( lane, acc.a_store, acc.a_path,
+                                              l2, true, p2, off )
+                                    | _ -> ());
+                                    if acc.a_store then begin
+                                      (match Hashtbl.find_opt reads off with
+                                      | Some (l2, p2) when l2 <> lane ->
+                                          conflict :=
+                                            Some
+                                              ( lane, true, acc.a_path, l2,
+                                                false, p2, off )
+                                      | _ -> ());
+                                      Hashtbl.replace writes off
+                                        (lane, acc.a_path)
+                                    end
+                                    else
+                                      Hashtbl.replace reads off
+                                        (lane, acc.a_path)
+                                  end)
+                                offs)
+                    done)
+                  accs;
+                match !conflict with
+                | Some (l1, s1, p1, l2, s2, p2, off) ->
+                    report l1 s1 p1 l2 s2 p2 ~bidx ~bidy off;
+                    raise Found
+                | None -> ())
+              (frozen_assignments launch sizes ~bidx ~bidy accs))
+          blocks
+      with Found -> ())
 
 (* --- bounds checking: strided intervals + affine guard refinement --- *)
 
 type renv = {
   r_launch : Ast.launch;
   r_sizes : (string * int) list;
-  r_binds : (string * binding) list;
+  r_binds : binds;
   r_iters : (string * si) list;  (** loop var -> range of its value *)
   r_trips : (string * si) list;  (** loop var -> range of [Affine.Iter] *)
   r_ctx : Affine.ctx;
@@ -1282,91 +970,58 @@ let check_coalescing st launch (k : Ast.kernel) : unit =
 
 (* --- driver --- *)
 
-let spaces_of (k : Ast.kernel) : (string * [ `Shared | `Global ]) list =
-  let from_params =
-    List.filter_map
-      (fun (p : Ast.param) ->
-        match p.p_ty with
-        | Array { space = Global; _ } -> Some (p.p_name, `Global)
-        | Array { space = Shared; _ } -> Some (p.p_name, `Shared)
-        | _ -> None)
-      k.k_params
-  in
-  let from_decls =
-    Rewrite.declared_vars k.k_body
-    |> List.filter_map (fun (name, ty) ->
-           match ty with
-           | Ast.Array { space = Shared; _ } -> Some (name, `Shared)
-           | _ -> None)
-  in
-  from_params @ from_decls
-
 let check ?(max_lanes = 512) ~(launch : Ast.launch) (k : Ast.kernel) :
     diagnostic list =
   let sizes = k.k_sizes in
   let layouts = Layout.of_kernel k in
-  let spaces = spaces_of k in
-  let st =
-    {
-      ws_kernel = k.k_name;
-      ws_interval = 0;
-      ws_accs = [];
-      ws_diags = [];
-      ws_uniform = (fun binds lp -> uniform_trip_count launch sizes binds lp);
-    }
+  let st = { kernel = k.k_name; diags = [] } in
+  let w = walk scope (Affine.ctx_of_launch ~sizes launch) k in
+  (* a soft barrier diverges unless every enclosing lane-dependent
+     frozen loop runs a block-uniform trip count at this launch *)
+  let uniform = Hashtbl.create 4 in
+  let uniform fr =
+    match Hashtbl.find_opt uniform fr.fr_id with
+    | Some u -> u
+    | None ->
+        let u = uniform_trip_count launch sizes fr in
+        Hashtbl.replace uniform fr.fr_id u;
+        u
   in
-  let env0 =
-    {
-      w_binds = [];
-      w_frames = [];
-      w_guards = [];
-      w_ctx = Affine.ctx_of_launch ~sizes launch;
-      w_div = false;
-      w_path = [];
-      w_frozen_depth = 0;
-    }
-  in
-  ignore (walk_block st spaces env0 k.k_body);
-  let accs = List.rev st.ws_accs in
-  (let n = launch.block_x * launch.block_y in
-   if
-     n > max_lanes
-     && List.exists
-          (fun a -> a.a_store && Layout.find layouts a.a_arr <> None)
-          accs
-   then
-     diag st ~severity:Warning ~rule:rule_verify_incomplete ~path:""
-       (Printf.sprintf
-          "race check enumerated only %d of %d lanes; the verdict for this \
-           launch is incomplete"
-          max_lanes n));
+  List.iter
+    (fun b ->
+      if b.b_hard || List.exists (fun fr -> not (uniform fr)) b.b_soft then
+        diag st ~rule:rule_barrier_divergence ~path:b.b_path b.b_message)
+    w.barriers;
+  let accs = w.accs in
+  let n = launch.block_x * launch.block_y in
+  if
+    n > max_lanes
+    && List.exists
+         (fun a -> a.a_store && Layout.find layouts a.a_arr <> None)
+         accs
+  then
+    diag st ~severity:Warning ~rule:rule_verify_incomplete ~path:""
+      (Printf.sprintf
+         "race check enumerated only %d of %d lanes; the verdict for this \
+          launch is incomplete"
+         max_lanes n);
   (* races, interval by interval; the pair table dedups across them *)
-  let dedup_pairs = Hashtbl.create 32 in
-  let intervals = Hashtbl.create 8 in
+  if n > 1 then begin
+    let dedup_pairs = Hashtbl.create 32 in
+    List.iter
+      (List.iter
+         (check_races st launch sizes layouts ~lanes:(min n max_lanes)
+            ~dedup_pairs))
+      (races accs)
+  end;
   List.iter
     (fun a ->
-      Hashtbl.replace intervals a.a_interval
-        (a :: (try Hashtbl.find intervals a.a_interval with Not_found -> [])))
-    accs;
-  Hashtbl.fold (fun i g acc -> (i, List.rev g) :: acc) intervals []
-  |> List.sort compare
-  |> List.iter (fun (_, group) ->
-         check_races st launch sizes layouts ~max_lanes ~dedup_pairs group);
-  (* bounds and bank conflicts, once per distinct syntactic access (the
-     frozen wrap pass records duplicates) *)
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun a ->
-      let key = (a.a_path, a.a_arr, a.a_store, acc_expr a) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
-        check_bounds st launch sizes layouts a;
-        check_bank st launch sizes layouts a
-      end)
-    accs;
+      check_bounds st launch sizes layouts a;
+      check_bank st launch sizes layouts a)
+    (sites accs);
   check_coalescing st launch k;
   (* dedup, errors first, walk order otherwise *)
-  let out = List.rev st.ws_diags in
+  let out = List.rev st.diags in
   let seen = Hashtbl.create 32 in
   let out =
     List.filter

@@ -105,12 +105,21 @@ let tokenize (src : string) : (token * int) list =
         done
       end;
       let text = String.sub src start (!pos - start) in
+      let float_lit () =
+        match float_of_string_opt text with
+        | Some f -> FLOAT f
+        | None -> raise (Error ("malformed float literal " ^ text, !line))
+      in
       if !pos < n && src.[!pos] = 'f' then begin
         incr pos;
-        emit (FLOAT (float_of_string text))
+        emit (float_lit ())
       end
-      else if !is_float then emit (FLOAT (float_of_string text))
-      else emit (INT (int_of_string text))
+      else if !is_float then emit (float_lit ())
+      else
+        match int_of_string_opt text with
+        | Some i -> emit (INT i)
+        | None ->
+            raise (Error ("integer literal out of range: " ^ text, !line))
     end
     else begin
       let two =

@@ -70,6 +70,7 @@ type funnel = {
   f_spearman : float;
       (** Spearman rank correlation of prediction vs the best empirical
           score, over the stage-1 survivors *)
+  f_spearman_n : int;  (** (prediction, measurement) pairs behind it *)
 }
 
 (* phase-1 outcome for one (target, degree) configuration *)
@@ -380,12 +381,11 @@ let search_funnel ?(cfg = Gpcc_sim.Config.gtx280)
               fail c `Measure e;
               set c Float.neg_infinity `Measured)
         finalist_reps final_outcomes;
-      let spearman =
-        Cost_model.spearman
-          (List.filter_map
-             (fun (c, p) ->
-               Option.map (fun m -> (p, m)) (Hashtbl.find_opt empirical c.c_digest))
-             survivors)
+      let spearman_pairs =
+        List.filter_map
+          (fun (c, p) ->
+            Option.map (fun m -> (p, m)) (Hashtbl.find_opt empirical c.c_digest))
+          survivors
       in
       let stats =
         {
@@ -396,7 +396,8 @@ let search_funnel ?(cfg = Gpcc_sim.Config.gtx280)
           f_rungs = !n_rungs;
           f_partial_runs = !n_partial;
           f_measured = List.length finalists;
-          f_spearman = spearman;
+          f_spearman = Cost_model.spearman spearman_pairs;
+          f_spearman_n = List.length spearman_pairs;
         }
       in
       (candidates_of compiled score_tbl, List.rev !failures, stats))

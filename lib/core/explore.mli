@@ -83,6 +83,9 @@ type funnel = {
   f_spearman : float;
       (** Spearman rank correlation of prediction vs best empirical
           score over the stage-1 survivors; 0 when undefined *)
+  f_spearman_n : int;
+      (** the number of (prediction, measurement) pairs behind
+          [f_spearman]: a correlation over two points is always ±1 *)
 }
 
 (** Compile every configuration (in parallel on [jobs] domains, default

@@ -258,7 +258,13 @@ let test_funnel_matches_exhaustive () =
       Alcotest.(check bool)
         (name ^ ": probed every distinct version")
         true
-        (stats.f_predicted <= stats.f_distinct))
+        (stats.f_predicted <= stats.f_distinct);
+      (* the correlation's sample: one pair per measured survivor *)
+      Alcotest.(check bool)
+        (name ^ ": spearman n between measured and surviving versions")
+        true
+        (stats.f_measured <= stats.f_spearman_n
+        && stats.f_spearman_n <= stats.f_distinct - stats.f_pruned))
     (Gpcc_workloads.Registry.all @ Gpcc_workloads.Registry.extras)
 
 let test_funnel_provenance () =

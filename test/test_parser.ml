@@ -46,7 +46,19 @@ let test_lex_errors () =
     (fun () -> ignore (Lexer.tokenize "@"));
   (match Lexer.tokenize "/* unterminated" with
   | exception Lexer.Error _ -> ()
-  | _ -> Alcotest.fail "unterminated comment accepted")
+  | _ -> Alcotest.fail "unterminated comment accepted");
+  (* malformed or out-of-range numeric literals are located lex errors *)
+  List.iter
+    (fun (src, msg) ->
+      Alcotest.check_raises src (Lexer.Error (msg, 2)) (fun () ->
+          ignore (Lexer.tokenize ("x\n" ^ src))))
+    [
+      ("1e", "malformed float literal 1e");
+      ("1.5e+", "malformed float literal 1.5e+");
+      ("2Ef", "malformed float literal 2E");
+      ( "9999999999999999999999",
+        "integer literal out of range: 9999999999999999999999" );
+    ]
 
 let test_expr_precedence () =
   check_expr "mul binds tighter"
@@ -156,6 +168,101 @@ let test_parse_errors () =
   bad "#pragma gpcc dim w\n__kernel void f() { }";
   bad "__kernel void f() { if (x) { y = 1; }"
 
+(* --- mutation fuzz: malformed kernels fail with a located error --- *)
+
+(* a crude token split (identifier/number runs, whitespace runs, single
+   punctuation characters) good enough to delete or insert tokens *)
+let rough_tokens (src : string) : string list =
+  let n = String.length src in
+  let cls c =
+    if Lexer.is_ident_char c || c = '.' then `Word
+    else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then `Space
+    else `Punct
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else
+      let k = cls src.[i] in
+      let j = ref (i + 1) in
+      if k <> `Punct then
+        while !j < n && cls src.[!j] = k do
+          incr j
+        done;
+      go !j (String.sub src i (!j - i) :: acc)
+  in
+  go 0 []
+
+let fuzz_sources () =
+  let read f =
+    let ic = open_in_bin f in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  (* [dune runtest] runs in the build's test directory *)
+  let dir =
+    List.find Sys.file_exists [ "../examples/kernels"; "examples/kernels" ]
+  in
+  let examples =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".cu")
+    |> List.sort compare
+    |> List.map (fun f -> read (Filename.concat dir f))
+  in
+  let registry =
+    List.map
+      (fun (w : Gpcc_workloads.Workload.t) -> w.source w.test_size)
+      Gpcc_workloads.Registry.(all @ extras)
+  in
+  examples @ registry
+
+let mutate rng (src : string) : string =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  match Random.State.int rng 3 with
+  | 0 -> String.sub src 0 (Random.State.int rng (String.length src + 1))
+  | 1 when src <> "" ->
+      let toks = rough_tokens src in
+      let i = Random.State.int rng (List.length toks) in
+      String.concat "" (List.filteri (fun j _ -> j <> i) toks)
+  | _ ->
+      let toks = rough_tokens src in
+      let extra =
+        pick
+          (toks
+          @ [ "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "="; "+="; "++"; "-";
+              "*"; "/"; "%"; "<"; "&&"; "!"; "?"; ":"; "."; "x"; "0"; "1.5";
+              "1e"; "99999999999999999999"; "if"; "else"; "for"; "int";
+              "float"; "float4"; "__shared__"; "__syncthreads"; "#pragma";
+              "#pragma gpcc dim"; "\n" ])
+      in
+      let i = Random.State.int rng (List.length toks + 1) in
+      String.concat ""
+        (List.filteri (fun j _ -> j < i) toks
+        @ [ " "; extra; " " ]
+        @ List.filteri (fun j _ -> j >= i) toks)
+
+let test_mutation_fuzz () =
+  let sources = Array.of_list (fuzz_sources ()) in
+  let rng = Random.State.make [| 20100605 |] in
+  let rejected = ref 0 in
+  for _ = 1 to 1000 do
+    let src = sources.(Random.State.int rng (Array.length sources)) in
+    (* one to three stacked mutations *)
+    let m = ref src in
+    for _ = 0 to Random.State.int rng 3 do
+      m := mutate rng !m
+    done;
+    match Typecheck.check (Parser.kernel_of_string !m) with
+    | () -> ()
+    | exception (Lexer.Error _ | Parser.Error _ | Typecheck.Type_error _) ->
+        incr rejected
+    | exception e ->
+        Alcotest.failf "mutant escaped with %s:\n%s" (Printexc.to_string e)
+          !m
+  done;
+  (* the mutations must actually exercise the error paths *)
+  Alcotest.(check bool) "most mutants rejected" true (!rejected > 500)
+
 let test_parse_global_sync () =
   let k =
     parse_kernel
@@ -263,6 +370,7 @@ let suite =
       t "shared decl" test_parse_shared_decl;
       t "compound assignment" test_parse_compound_assign;
       t "parse errors" test_parse_errors;
+      t "mutation fuzz: only located errors escape" test_mutation_fuzz;
       t "global sync" test_parse_global_sync;
       t "print +=" test_print_compound;
       t "print parens" test_print_minimal_parens;

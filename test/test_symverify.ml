@@ -310,6 +310,63 @@ __kernel void wide(float a[64], float c[64], int n) {
           (fun (d : V.diagnostic) -> d.rule = V.rule_verify_incomplete)
           ds))
 
+(* --- barrier divergence: hard in both tiers, soft decided per launch --- *)
+
+let test_barrier_divergence_tiers () =
+  let hard =
+    parse_kernel
+      {|#pragma gpcc dim n 64
+#pragma gpcc output c
+__kernel void divb(float a[64], float c[64], int n) {
+  __shared__ float s[16];
+  s[tidx] = a[idx];
+  if (tidx < 8) {
+    __syncthreads();
+  }
+  c[idx] = s[tidx];
+}|}
+  in
+  let launch = { Ast.grid_x = 4; grid_y = 1; block_x = 16; block_y = 1 } in
+  let is_div (d : V.diagnostic) = d.rule = V.rule_barrier_divergence in
+  Alcotest.(check bool)
+    "hard: concrete error" true
+    (List.exists is_div (V.errors (V.check ~launch hard)));
+  let res = SV.check hard in
+  Alcotest.(check bool)
+    "hard: symbolic violation at every launch" true
+    (List.exists
+       (fun (v : SV.violation) ->
+         v.v_rule = V.rule_barrier_divergence && v.v_when = [])
+       res.violations);
+  (* a grid-strided loop holding barriers: lanes run the same trip
+     count at 64 threads over n = 64, but not at 512 *)
+  let soft =
+    parse_kernel
+      {|#pragma gpcc dim n 64
+#pragma gpcc output c
+__kernel void soft(float a[64], float c[64], int n) {
+  __shared__ float s[512];
+  for (int i = idx; i < n; i += bdimx * gdimx) {
+    s[tidx] = a[i];
+    __syncthreads();
+    c[i] = s[(tidx + 1) % bdimx];
+    __syncthreads();
+  }
+}|}
+  in
+  let at bx = { Ast.grid_x = 1; grid_y = 1; block_x = bx; block_y = 1 } in
+  Alcotest.(check bool)
+    "soft: uniform trip count at 64 lanes" false
+    (List.exists is_div (V.check ~launch:(at 64) soft));
+  Alcotest.(check bool)
+    "soft: divergent at 512 lanes" true
+    (List.exists is_div (V.errors (V.check ~launch:(at 512) soft)));
+  let res = SV.check soft in
+  Alcotest.(check bool) "soft: no symbolic violation" true (res.violations = []);
+  match res.verdict with
+  | SV.Unknown _ -> ()
+  | v -> Alcotest.failf "soft: symbolic verdict %s" (SV.verdict_to_string v)
+
 let suite =
   ( "symverify",
     [
@@ -325,4 +382,6 @@ let suite =
         test_concurrent_check_agrees;
       Alcotest.test_case "verify-incomplete warning" `Quick
         test_verify_incomplete_warning;
+      Alcotest.test_case "barrier divergence: hard in both tiers, soft per launch"
+        `Quick test_barrier_divergence_tiers;
     ] )

@@ -322,9 +322,63 @@ let test_dynamic_clean_workloads () =
           Gpcc_workloads.Workload.check cfg280 w n r.kernel r.launch)
         (Gpcc_workloads.Registry.all @ Gpcc_workloads.Registry.extras))
 
+(* --- the walk both tiers share --- *)
+
+let test_walk_records () =
+  let module W = Gpcc_analysis.Walk in
+  let k =
+    parse_kernel
+      {|#pragma gpcc dim n 64
+#pragma gpcc output c
+__kernel void tiles(float a[64], float c[64], int n) {
+  __shared__ float s[16];
+  for (int k = 0; k < n; k += 16) {
+    s[tidx] = a[k + tidx];
+    __syncthreads();
+    for (int j = 0; j < 16; j += 1) {
+      c[idx] = s[j];
+    }
+    __syncthreads();
+  }
+}|}
+  in
+  let w = W.walk W.no_scope () k in
+  let show (a : unit W.acc) =
+    Printf.sprintf "%d %s%s %s" a.a_interval
+      (if a.a_store then "st " else "ld ")
+      (W.acc_expr a)
+      (String.concat ","
+         (List.map
+            (fun (f : W.frame) ->
+              Printf.sprintf "%s#%d+%d" f.fr_var f.fr_id f.fr_offset)
+            a.a_frames))
+  in
+  (* the frozen loop's body is walked twice: iteration k, then k+1 in
+     the wrap-around interval; both passes share the loop's id, the
+     inner loop is a fresh visit per pass *)
+  Alcotest.(check (list string))
+    "accesses in walk order"
+    [
+      "0 ld a[k + tidx] k#0+0"; "0 st s[tidx] k#0+0";
+      "1 ld s[j] k#0+0,j#1+0"; "1 st c[idx] k#0+0,j#1+0";
+      "2 ld a[k + tidx] k#0+1"; "2 st s[tidx] k#0+1";
+      "3 ld s[j] k#0+1,j#2+0"; "3 st c[idx] k#0+1,j#2+0";
+    ]
+    (List.map show w.accs);
+  Alcotest.(check int) "one site per syntactic access" 4
+    (List.length (W.sites w.accs));
+  Alcotest.(check (list (list string)))
+    "race groups: stored arrays per interval"
+    [ [ "s" ]; [ "c" ]; [ "s" ]; [ "c" ] ]
+    (List.map (List.map fst) (W.races w.accs));
+  Alcotest.(check int) "uniform barriers are not recorded" 0
+    (List.length w.barriers)
+
 let suite =
   ( "verify",
     [
+      Alcotest.test_case "shared walk: intervals, passes, groups" `Quick
+        test_walk_records;
       Alcotest.test_case "negative: missing sync" `Quick test_missing_sync;
       Alcotest.test_case "negative: divergent barrier" `Quick
         test_divergent_barrier;
