@@ -203,7 +203,10 @@ let rec collect st env (e : Ast.expr) : unit =
   | Int_lit _ | Float_lit _ | Var _ | Builtin _ -> ()
 
 let barrier st env seg ~hard ~soft message =
-  if hard || soft <> [] then
+  (* the wrap-around pass of a frozen loop revisits the same barrier
+     under the same classification: record each barrier once *)
+  let first_visit = List.for_all (fun f -> f.fr_offset = 0) env.frames in
+  if (hard || soft <> []) && first_visit then
     st.barriers <-
       {
         b_path = path_of { env with path = seg :: env.path };

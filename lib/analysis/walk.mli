@@ -66,7 +66,8 @@ type 'c acc = {
 val acc_expr : 'c acc -> string
 (** The access as printed source, e.g. ["s[tidx][i]"]. *)
 
-(** A barrier that may diverge. *)
+(** A barrier that may diverge. Each barrier statement is recorded
+    once: the wrap-around pass does not repeat it. *)
 type barrier = {
   b_path : string;
   b_message : string;

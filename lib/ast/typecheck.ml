@@ -2,7 +2,7 @@
 
     Checks performed:
     - every variable is declared before use (params, decls, loop vars,
-      builtins);
+      builtins), and no name is declared twice (parameters included);
     - array accesses have exactly the declared rank and [int] indices;
     - operand types of arithmetic/logic agree ([int] promotes to [float]
       in mixed arithmetic, as in C);
@@ -17,7 +17,12 @@ exception Type_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
 
-type env = (string * ty) list
+(* Names in scope. Redeclaration and shadowing are type errors, so a
+   name is bound at most once and a map gives the same answers as the
+   source's scoping. *)
+module Env = Map.Make (String)
+
+type env = ty Env.t
 
 let intrinsics : (string * (scalar list * scalar)) list =
   [
@@ -51,7 +56,7 @@ let rec type_of_expr (env : env) (e : expr) : scalar =
   | Float_lit _ -> Float
   | Builtin _ -> Int
   | Var v -> (
-      match List.assoc_opt v env with
+      match Env.find_opt v env with
       | Some (Scalar s) -> s
       | Some (Array _) -> err "array %s used as a scalar" v
       | None -> err "undeclared variable %s" v)
@@ -75,7 +80,7 @@ let rec type_of_expr (env : env) (e : expr) : scalar =
           if (ta = Bool || ta = Int) && (tb = Bool || tb = Int) then Bool
           else err "&&/|| require boolean operands")
   | Index (a, es) -> (
-      match List.assoc_opt a env with
+      match Env.find_opt a env with
       | Some (Array { elt; dims; _ }) ->
           if List.length es <> List.length dims then
             err "array %s has rank %d but is accessed with %d indices" a
@@ -89,7 +94,7 @@ let rec type_of_expr (env : env) (e : expr) : scalar =
       | Some (Scalar _) -> err "scalar %s indexed as an array" a
       | None -> err "undeclared array %s" a)
   | Vload { v_arr; v_width; v_index } -> (
-      match List.assoc_opt v_arr env with
+      match Env.find_opt v_arr env with
       | Some (Array { elt = Float; _ }) ->
           if type_of_expr env v_index <> Int then
             err "non-integer vector index into %s" v_arr;
@@ -129,7 +134,7 @@ let rec type_of_expr (env : env) (e : expr) : scalar =
 let type_of_lvalue (env : env) (lv : lvalue) : scalar =
   let rec go = function
     | Lvar v -> (
-        match List.assoc_opt v env with
+        match Env.find_opt v env with
         | Some (Scalar s) -> s
         | Some (Array _) -> err "cannot assign to whole array %s" v
         | None -> err "undeclared variable %s" v)
@@ -156,9 +161,8 @@ let rec check_block (env : env) ~(top : bool) (b : block) : unit =
         check_stmt env ~top s;
         match s with
         | Decl d ->
-            if List.mem_assoc d.d_name env then
-              err "redeclaration of %s" d.d_name;
-            (d.d_name, d.d_ty) :: env
+            if Env.mem d.d_name env then err "redeclaration of %s" d.d_name;
+            Env.add d.d_name d.d_ty env
         | _ -> env)
       env b
   in
@@ -192,30 +196,36 @@ and check_stmt (env : env) ~(top : bool) (s : stmt) : unit =
       check_block env ~top:false t;
       check_block env ~top:false e
   | For l ->
-      if List.mem_assoc l.l_var env then
+      if Env.mem l.l_var env then
         err "loop variable %s shadows an existing declaration" l.l_var;
       if type_of_expr env l.l_init <> Int then err "loop start must be int";
-      let env' = (l.l_var, Scalar Int) :: env in
+      let env' = Env.add l.l_var (Scalar Int) env in
       if type_of_expr env' l.l_limit <> Int then err "loop limit must be int";
       if type_of_expr env' l.l_step <> Int then err "loop step must be int";
       check_block env' ~top:false l.l_body
 
 (** Check a whole kernel; raises {!Type_error} on failure. *)
 let check (k : kernel) : unit =
-  let env = List.map (fun p -> (p.p_name, p.p_ty)) k.k_params in
+  let env =
+    List.fold_left
+      (fun env p ->
+        if Env.mem p.p_name env then err "duplicate parameter %s" p.p_name;
+        Env.add p.p_name p.p_ty env)
+      Env.empty k.k_params
+  in
   List.iter
     (fun (n, _) ->
       (* names starting with __ are compiler directives (e.g. __threads_x),
          not parameter bindings *)
       if not (String.length n >= 2 && String.sub n 0 2 = "__") then
-        match List.assoc_opt n env with
+        match Env.find_opt n env with
         | Some (Scalar Int) -> ()
         | Some _ -> err "#pragma gpcc dim %s: parameter is not an int" n
         | None -> err "#pragma gpcc dim %s: no such parameter" n)
     k.k_sizes;
   List.iter
     (fun n ->
-      match List.assoc_opt n env with
+      match Env.find_opt n env with
       | Some (Array { space = Global; _ }) -> ()
       | Some _ -> err "#pragma gpcc output %s: not a global array" n
       | None -> err "#pragma gpcc output %s: no such parameter" n)

@@ -5,16 +5,8 @@
 
 exception Type_error of string
 
-type env = (string * Ast.ty) list
-
-(** Signatures of the supported intrinsics ([sqrtf], [fmaxf],
-    [make_float2], ...). *)
-val intrinsics : (string * (Ast.scalar list * Ast.scalar)) list
-
-(** Type of an expression under an environment; raises {!Type_error}. *)
-val type_of_expr : env -> Ast.expr -> Ast.scalar
-
-(** Check a whole kernel; raises {!Type_error} on the first violation. *)
+(** Check a whole kernel; raises {!Type_error} on the first violation
+    (including a parameter name declared twice). *)
 val check : Ast.kernel -> unit
 
 val check_result : Ast.kernel -> (unit, string) result

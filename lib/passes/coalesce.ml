@@ -578,12 +578,7 @@ let apply (k : Ast.kernel) (launch : Ast.launch) : Pass_util.outcome =
         @ [ "all global accesses already coalesced" ])
       k launch
   else begin
-    let used = ref (Pass_util.used_names k) in
-    let fresh base =
-      let n = Rewrite.fresh_name !used base in
-      used := n :: !used;
-      n
-    in
+    let fresh = Pass_util.fresh_name (Pass_util.kernel_names k) in
     let notes = ref [] in
     let body = ref k.k_body in
     let launch = ref launch in

@@ -73,12 +73,8 @@ let hoistable_subexprs (b : Ast.block) : Ast.expr list =
   List.rev !acc
 
 let apply (k : Ast.kernel) (launch : Ast.launch) : Pass_util.outcome =
-  let used = ref (Pass_util.used_names k) in
-  let fresh () =
-    let nm = Rewrite.fresh_name !used "inv" in
-    used := nm :: !used;
-    nm
-  in
+  let names = Pass_util.kernel_names k in
+  let fresh () = Pass_util.fresh_name names "inv" in
   let hoisted = ref 0 in
   let is_pure_decl = function
     | Decl { d_ty = Scalar Int; d_init = Some e; _ } ->

@@ -119,10 +119,9 @@ let classify_staging (k : Ast.kernel)
       else Some (Blocking "guarded staging depends on bidx")
   | _ -> None
 
-(** Widen an apron-style shared array and its staging loop by
-    [extra = old_block_x * (n-1)] columns. *)
-let widen_apron (extra : int) (sh_widths : (string, int) Hashtbl.t)
-    (s : Ast.stmt) : Ast.stmt =
+(** Widen an apron-style staging loop by [extra = old_block_x * (n-1)]
+    columns. *)
+let widen_apron (extra : int) (s : Ast.stmt) : Ast.stmt =
   match s with
   | For l ->
       let widened_limit =
@@ -131,7 +130,7 @@ let widen_apron (extra : int) (sh_widths : (string, int) Hashtbl.t)
         | e -> Ast.( +: ) e (Int_lit extra)
       in
       For { l with l_limit = widened_limit }
-  | s -> ignore sh_widths; s
+  | s -> s
 
 let block_merge_x (k : Ast.kernel) (launch : Ast.launch) (n : int) :
     Pass_util.outcome =
@@ -236,7 +235,6 @@ let block_merge_x (k : Ast.kernel) (launch : Ast.launch) (n : int) :
           (Ast.( %: ) Ast.tidx (Int_lit old_bx))
           e
       in
-      let widths = Hashtbl.create 4 in
       let rec rewrite_block b = List.concat_map rewrite_stmt b
       and rewrite_stmt s =
         match classify_staging k table shared s with
@@ -245,7 +243,7 @@ let block_merge_x (k : Ast.kernel) (launch : Ast.launch) (n : int) :
             [ If (Ast.( <: ) Ast.tidx (Int_lit old_bx), [ s ], []) ]
         | Some Scaling -> (
             incr scaled;
-            match widen_apron extra widths s with
+            match widen_apron extra s with
             | For l -> [ For { l with l_step = Int_lit (old_bx * n) } ]
             | s -> [ s ])
         | Some Private ->
@@ -334,27 +332,31 @@ let block_merge_x (k : Ast.kernel) (launch : Ast.launch) (n : int) :
 
 type dep_env = {
   dir : direction;
-  mutable repl : string list;  (** replica-dependent variables / arrays *)
-  mutable names : (string * string array) list;
+  repl : (string, unit) Hashtbl.t;  (** replica-dependent variables / arrays *)
+  mutable order : string list;  (** [repl], most recently added first *)
+  names : (string, string array) Hashtbl.t;
       (** collision-free replica names for each replicated variable *)
 }
 
+let is_repl (env : dep_env) (v : string) : bool = Hashtbl.mem env.repl v
+
 let replica_name (env : dep_env) (v : string) (r : int) : string =
-  match List.assoc_opt v env.names with
+  match Hashtbl.find_opt env.names v with
   | Some arr -> arr.(r)
   | None -> Printf.sprintf "%s_%d" v r
 
+(** Whether an expression reads the merged direction's thread position
+    or a replicated name. *)
 let expr_dep (env : dep_env) (e : Ast.expr) : bool =
   let b = match env.dir with X -> Ast.Idx | Y -> Ast.Idy in
-  Rewrite.expr_uses_builtin b e
-  || (env.dir = Y && Rewrite.expr_uses_builtin Ast.Bidy e)
-  || List.exists
-       (fun v ->
-         Rewrite.expr_uses_var v e
-         || Rewrite.exists_expr
-              (function Index (a, _) -> String.equal a v | _ -> false)
-              e)
-       env.repl
+  Rewrite.exists_expr
+    (function
+      | Builtin b' ->
+          Ast.equal_builtin b b'
+          || (env.dir = Y && Ast.equal_builtin Ast.Bidy b')
+      | Var v | Index (v, _) -> is_repl env v
+      | _ -> false)
+    e
 
 let lvalue_dep (env : dep_env) (lv : Ast.lvalue) : bool =
   let rec name = function
@@ -370,14 +372,14 @@ let lvalue_dep (env : dep_env) (lv : Ast.lvalue) : bool =
     | Lvec vl -> [ vl.v_index ]
     | Lfield _ -> []
   in
-  List.mem (name lv) env.repl || List.exists (expr_dep env) idx_exprs
+  is_repl env (name lv) || List.exists (expr_dep env) idx_exprs
 
 (** One fixpoint round: does this statement do replica-dependent work
     directly (not counting nested control-flow bodies)? *)
 let rec stmt_dep (env : dep_env) (s : Ast.stmt) : bool =
   match s with
   | Decl { d_name; d_init; _ } ->
-      List.mem d_name env.repl
+      is_repl env d_name
       || (match d_init with Some e -> expr_dep env e | None -> false)
   | Assign (lv, e) -> lvalue_dep env lv || expr_dep env e
   | If (c, t, f) ->
@@ -389,17 +391,21 @@ let rec stmt_dep (env : dep_env) (s : Ast.stmt) : bool =
 (** Mark every variable written by replica-dependent statements, to a
     fixpoint. Only kernel-local names (register scalars and shared arrays)
     replicate — global arrays are indexed per replica, never renamed. *)
-let compute_repl_vars (env : dep_env) (k : Ast.kernel) (body : Ast.block) :
-    unit =
-  let locals = List.map fst (Rewrite.declared_vars body) in
+let compute_repl_vars (env : dep_env) (body : Ast.block) : unit =
+  let name_set b =
+    let set = Hashtbl.create 64 in
+    List.iter (fun (v, _) -> Hashtbl.replace set v ()) (Rewrite.declared_vars b);
+    set
+  in
+  let locals = name_set body in
   let changed = ref true in
   let add v =
-    if List.mem v locals && not (List.mem v env.repl) then begin
-      env.repl <- v :: env.repl;
+    if Hashtbl.mem locals v && not (is_repl env v) then begin
+      Hashtbl.replace env.repl v ();
+      env.order <- v :: env.order;
       changed := true
     end
   in
-  ignore k;
   let lv_name lv =
     let rec go = function
       | Lvar v | Lindex (v, _) -> v
@@ -414,13 +420,13 @@ let compute_repl_vars (env : dep_env) (k : Ast.kernel) (body : Ast.block) :
      declared inside the region are self-contained (each replica carries
      its own declaration) *)
   let mark_escaping (b : Ast.block) =
-    let inner = List.map fst (Rewrite.declared_vars b) in
+    let inner = name_set b in
     ignore
       (Rewrite.map_stmts
          (function
            | Assign (lv, _) as s ->
                let v = lv_name lv in
-               if not (List.mem v inner) then add v;
+               if not (Hashtbl.mem inner v) then add v;
                [ s ]
            | s -> [ s ])
          b)
@@ -458,9 +464,8 @@ let replica_expr (env : dep_env) ~(n : int) ~(old_bx : int) (r : int)
     (e : Ast.expr) : Ast.expr =
   let rename =
     Rewrite.map_expr (function
-      | Var v when List.mem v env.repl ->
-          Some (Var (replica_name env v r))
-      | Index (a, es) when List.mem a env.repl ->
+      | Var v when is_repl env v -> Some (Var (replica_name env v r))
+      | Index (a, es) when is_repl env a ->
           Some (Index (replica_name env a r, es))
       | _ -> None)
   in
@@ -484,14 +489,14 @@ let replica_expr (env : dep_env) ~(n : int) ~(old_bx : int) (r : int)
 let replica_lvalue (env : dep_env) ~n ~old_bx r (lv : Ast.lvalue) : Ast.lvalue
     =
   let rec go = function
-    | Lvar v when List.mem v env.repl -> Lvar (replica_name env v r)
+    | Lvar v when is_repl env v -> Lvar (replica_name env v r)
     | Lvar v -> Lvar v
     | Lindex (a, es) ->
-        let a' = if List.mem a env.repl then replica_name env a r else a in
+        let a' = if is_repl env a then replica_name env a r else a in
         Lindex (a', List.map (replica_expr env ~n ~old_bx r) es)
     | Lvec vl ->
         let a' =
-          if List.mem vl.v_arr env.repl then replica_name env vl.v_arr r
+          if is_repl env vl.v_arr then replica_name env vl.v_arr r
           else vl.v_arr
         in
         Lvec
@@ -564,28 +569,22 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
           ]
         k launch
     else begin
-      let env = { dir; repl = []; names = [] } in
-      compute_repl_vars env k k.k_body;
-      let globals = Pass_util.global_arrays k in
-      let used = ref (Pass_util.used_names k) in
-      env.names <-
-        List.map
-          (fun v ->
-            let arr =
-              Array.init n (fun r ->
-                  let nm =
-                    Rewrite.fresh_name !used (Printf.sprintf "%s_%d" v r)
-                  in
-                  used := nm :: !used;
-                  nm)
-            in
-            (v, arr))
-          env.repl;
-      let fresh base =
-        let nm = Rewrite.fresh_name !used base in
-        used := nm :: !used;
-        nm
+      let env =
+        {
+          dir;
+          repl = Hashtbl.create 16;
+          order = [];
+          names = Hashtbl.create 16;
+        }
       in
+      compute_repl_vars env k.k_body;
+      let globals = Pass_util.global_arrays k in
+      let fresh = Pass_util.fresh_name (Pass_util.kernel_names k) in
+      List.iter
+        (fun v ->
+          Hashtbl.replace env.names v
+            (Array.init n (fun r -> fresh (Printf.sprintf "%s_%d" v r))))
+        env.order;
       let old_bx = launch.block_x in
       let hoists = ref 0 in
       let replicas f = List.init n f in
@@ -595,7 +594,7 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
         match s with
         | Comment _ | Sync | Global_sync -> [ s ]
         | Decl d ->
-            if List.mem d.d_name env.repl then
+            if is_repl env d.d_name then
               replicas (fun r ->
                   Decl
                     {
@@ -669,7 +668,7 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
                   {
                     d with
                     d_name =
-                      (if List.mem d.d_name env.repl then
+                      (if is_repl env d.d_name then
                          replica_name env d.d_name r
                        else d.d_name);
                     d_init = Option.map (replica_expr env ~n ~old_bx r) d.d_init;
@@ -710,8 +709,8 @@ let thread_merge (dir : direction) (k : Ast.kernel) (launch : Ast.launch)
                register load(s)"
               n
               (match dir with X -> "X" | Y -> "Y")
-              (List.length env.repl)
-              (String.concat ", " (List.rev env.repl))
+              (List.length env.order)
+              (String.concat ", " (List.rev env.order))
               !hoists;
           ]
         { k with k_body = body }

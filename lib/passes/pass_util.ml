@@ -36,17 +36,52 @@ let used_names (k : Ast.kernel) : string list =
   List.map (fun (p : Ast.param) -> p.p_name) k.k_params
   @ List.map fst (Rewrite.declared_vars k.k_body)
 
-let fresh (k : Ast.kernel) base = Rewrite.fresh_name (used_names k) base
+(* [taken] holds the seeds and every result. [next] holds, per base, a
+   suffix below which every [base_i] is taken: the bound stays exact
+   because [taken] only grows, so the scan for a base's next free suffix
+   resumes where the last one stopped. [taken] is built on the first
+   request: most pass calls name nothing, and a table of a large
+   kernel's names is allocated straight into the major heap. *)
+type names = {
+  taken : (string, unit) Hashtbl.t Lazy.t;
+  next : (string, int) Hashtbl.t;
+}
 
-(** Fresh names [base0 ... base(n-1)]-style with a shared uniquifier. *)
+let name_supply (used : string list) : names =
+  let taken =
+    lazy
+      (let t = Hashtbl.create (2 * List.length used + 16) in
+       List.iter (fun nm -> Hashtbl.replace t nm ()) used;
+       t)
+  in
+  { taken; next = Hashtbl.create 16 }
+
+let fresh_name (s : names) (base : string) : string =
+  let taken = Lazy.force s.taken in
+  let nm =
+    if not (Hashtbl.mem taken base) then base
+    else
+      let rec go i =
+        let cand = Printf.sprintf "%s_%d" base i in
+        if Hashtbl.mem taken cand then go (i + 1)
+        else begin
+          Hashtbl.replace s.next base (i + 1);
+          cand
+        end
+      in
+      go (Option.value (Hashtbl.find_opt s.next base) ~default:0)
+  in
+  Hashtbl.replace taken nm ();
+  nm
+
+(** A supply avoiding every name of the kernel. *)
+let kernel_names (k : Ast.kernel) : names = name_supply (used_names k)
+
+let fresh (k : Ast.kernel) base = fresh_name (kernel_names k) base
+
+(** Fresh names for [bases], distinct from the kernel's and each other. *)
 let fresh_many (k : Ast.kernel) bases =
-  let used = ref (used_names k) in
-  List.map
-    (fun b ->
-      let n = Rewrite.fresh_name !used b in
-      used := n :: !used;
-      n)
-    bases
+  List.map (fresh_name (kernel_names k)) bases
 
 (** Replace syntactic occurrences of one expression by another, everywhere
     in a block (used to swap a staged global access for its shared copy). *)

@@ -18,7 +18,20 @@ val changed :
 
 val global_arrays : Gpcc_ast.Ast.kernel -> string list
 val shared_arrays : Gpcc_ast.Ast.block -> string list
-val used_names : Gpcc_ast.Ast.kernel -> string list
+
+(** A supply of fresh names. Each {!fresh_name} result avoids the seed
+    names and every earlier result of the same supply; it is exactly
+    [Rewrite.fresh_name] over the list of seeds and earlier results
+    ([base], else the first free of [base_0], [base_1], ...), but probes
+    each suffix of a base at most once instead of rescanning the list. *)
+type names
+
+val name_supply : string list -> names
+val fresh_name : names -> string -> string
+
+(** The supply seeded with the kernel's parameter and declared names. *)
+val kernel_names : Gpcc_ast.Ast.kernel -> names
+
 val fresh : Gpcc_ast.Ast.kernel -> string -> string
 val fresh_many : Gpcc_ast.Ast.kernel -> string list -> string list
 

@@ -191,12 +191,7 @@ let apply ?(cfg = Gpcc_sim.Config.gtx280) (k : Ast.kernel)
     (launch : Ast.launch) : Pass_util.outcome =
   let globals = Pass_util.global_arrays k in
   let shared = Pass_util.shared_arrays k.k_body in
-  let used = ref (Pass_util.used_names k) in
-  let fresh base =
-    let nm = Rewrite.fresh_name !used base in
-    used := nm :: !used;
-    nm
-  in
+  let fresh = Pass_util.fresh_name (Pass_util.kernel_names k) in
   let added = ref 0 in
   let body =
     Rewrite.map_stmts

@@ -147,6 +147,44 @@ let test_fresh_name () =
   Alcotest.(check string) "skips collisions" "x_2" (Rewrite.fresh_name used "x");
   Alcotest.(check string) "free name unchanged" "y" (Rewrite.fresh_name used "y")
 
+(* The passes' hashed name supply answers exactly what the list model
+   answers: [Rewrite.fresh_name] over the seed names plus every earlier
+   result. Requests repeat bases, reuse earlier results as bases (so
+   [x_0] is asked for after [x] returned it) and start from seeds that
+   already hold suffixed names. *)
+let test_name_supply_matches_list_model () =
+  let rng = Random.State.make [| 0x6e616d65 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let bases = [ "x"; "y"; "r"; "inv"; "x_0"; "x_1"; "r_2"; "x_0_0" ] in
+  for _ = 1 to 300 do
+    let seeds =
+      List.init (Random.State.int rng 8) (fun _ ->
+          match Random.State.int rng 3 with
+          | 0 -> pick bases
+          | _ -> Printf.sprintf "%s_%d" (pick bases) (Random.State.int rng 4))
+    in
+    let supply = Gpcc_passes.Pass_util.name_supply seeds in
+    let model = ref seeds and results = ref [] in
+    for _ = 1 to 1 + Random.State.int rng 40 do
+      let base =
+        match Random.State.int rng 4 with
+        | 0 when !results <> [] -> pick !results
+        | 1 -> Printf.sprintf "%s_%d" (pick bases) (Random.State.int rng 3)
+        | _ -> pick bases
+      in
+      let want = Rewrite.fresh_name !model base in
+      model := want :: !model;
+      results := want :: !results;
+      let got = Gpcc_passes.Pass_util.fresh_name supply base in
+      if got <> want then
+        Alcotest.failf "seeds [%s], requests so far [%s]: %S gave %S, list \
+                        model %S"
+          (String.concat "; " seeds)
+          (String.concat "; " (List.rev !results))
+          base got want
+    done
+  done
+
 let test_collect_accesses_order () =
   let k =
     parse_kernel
@@ -210,6 +248,8 @@ let suite =
       t "subst respects loop scoping" test_subst_var_loop_shadowing;
       t "rename_var is complete" test_rename_var;
       t "fresh_name" test_fresh_name;
+      t "name supply == fresh_name list model"
+        test_name_supply_matches_list_model;
       t "collect_accesses order" test_collect_accesses_order;
       t "declared_vars" test_declared_vars;
       QCheck_alcotest.to_alcotest law_map_stmts_id;

@@ -367,6 +367,33 @@ __kernel void soft(float a[64], float c[64], int n) {
   | SV.Unknown _ -> ()
   | v -> Alcotest.failf "soft: symbolic verdict %s" (SV.verdict_to_string v)
 
+(* A hard-divergent barrier inside a frozen loop is reported once,
+   not once per pass of the walk over the loop body. *)
+let test_barrier_in_loop_reported_once () =
+  let k =
+    parse_kernel
+      {|#pragma gpcc dim n 64
+#pragma gpcc output c
+__kernel void loopb(float a[64], float c[64], int n) {
+  for (int i = 0; i < 4; i++) {
+    if (tidx < 4) {
+      __syncthreads();
+    }
+  }
+  c[idx] = a[idx];
+}|}
+  in
+  let launch = { Ast.grid_x = 4; grid_y = 1; block_x = 16; block_y = 1 } in
+  let res = SV.check k in
+  Alcotest.(check int) "one symbolic violation" 1 (List.length res.violations);
+  (match SV.decide res launch with
+  | `Errors ds -> Alcotest.(check int) "one diagnostic" 1 (List.length ds)
+  | `Clean -> Alcotest.fail "decided Clean"
+  | `Unknown m -> Alcotest.failf "decided Unknown: %s" m);
+  Alcotest.(check int)
+    "one concrete diagnostic" 1
+    (List.length (V.errors (V.check ~launch k)))
+
 let suite =
   ( "symverify",
     [
@@ -384,4 +411,6 @@ let suite =
         test_verify_incomplete_warning;
       Alcotest.test_case "barrier divergence: hard in both tiers, soft per launch"
         `Quick test_barrier_divergence_tiers;
+      Alcotest.test_case "hard barrier in a loop reported once" `Quick
+        test_barrier_in_loop_reported_once;
     ] )

@@ -94,6 +94,17 @@ let test_int_float_promotion () =
   rejects ~reason:"int var from float"
     "__kernel void f(float o[16]) { int i = 1.5; o[idx] = i; }"
 
+let test_rejects_duplicate_params () =
+  let src =
+    {|__kernel void f(int n, float n[4], float o[16]) { o[idx] = 1.0; }|}
+  in
+  (match Typecheck.check (Parser.kernel_of_string src) with
+  | () -> Alcotest.fail "accepted a duplicate parameter"
+  | exception Typecheck.Type_error m ->
+      Alcotest.(check string) "message" "duplicate parameter n" m);
+  rejects ~reason:"duplicate array parameter"
+    "__kernel void f(float a[16], float a[16]) { a[idx] = 1.0; }"
+
 let test_generated_kernels_typecheck () =
   (* every optimized kernel must pass the same checker *)
   List.iter
@@ -117,6 +128,7 @@ let suite =
       t "rejects bad calls" test_rejects_calls;
       t "pragma validation" test_rejects_pragmas;
       t "int/float promotion" test_int_float_promotion;
+      t "rejects duplicate parameters" test_rejects_duplicate_params;
       Alcotest.test_case "optimized kernels typecheck" `Slow
         test_generated_kernels_typecheck;
     ] )
